@@ -37,8 +37,9 @@ lint:
 
 # Default gate: lint, the full suite, and the equivalence tests again
 # under the race detector — the inference fast-path set (base/context
-# sharing across goroutines) plus the explore-pipeline pinned set (walks,
-# campaign histories, Razzer/Snowboard rows at parallel worker counts).
+# sharing across goroutines), the explore-pipeline pinned set (walks,
+# campaign histories, Razzer/Snowboard rows at parallel worker counts),
+# and the executor's pooled-scratch ownership and race-detector pins.
 test: lint
 	$(GO) test ./...
 	$(GO) test -race -run 'TestKernelsBitEqualReference|TestCSREquivalenceProperty|TestWithScheduleMatchesMonolithicBuild|TestBaseSharedAcrossGoroutines|TestBaseContextBitEqual|TestPredictAllCtxMatches|TestSweepPathsAgree' \
@@ -49,7 +50,8 @@ test: lint
 		./internal/explore ./internal/campaign ./internal/razzer ./internal/snowboard
 	$(GO) test -race ./internal/serve ./internal/fleet
 	$(GO) test -race -run 'TestTokenCacheConcurrentReaders|TestBaseContextConcurrentPredict' ./internal/pic
-	$(GO) test -race -run 'TestCompiledMatchesInterpreter|TestCompiledChaosParity' ./internal/ski
+	$(GO) test -race -run 'TestCompiledMatchesInterpreter|TestCompiledChaosParity|TestResultOwnedByCaller|TestResultFieldsDoNotAlias|TestFailedExecutionDoesNotTaintPool|TestEmptyAccessesNonNil|TestDetectMatchesStringKeyedReference|TestSetMatchesStringKeyedReference' \
+		./internal/ski ./internal/race
 	$(GO) test -race -run 'TestQuant|TestQGCN|TestFused|TestInferStacked' ./internal/nn ./internal/pic ./internal/tensor
 	$(GO) test -race ./internal/stream ./internal/trainer
 

@@ -18,6 +18,12 @@ import (
 // from pool workers; every registered backend is pinned DeepEqual to the
 // interpreter on all inputs, which is what lets campaign Histories survive
 // a backend swap bit for bit.
+//
+// Every returned *ski.Result belongs to the caller: nothing aliases it —
+// no executor scratch, no other result, no other field of itself — and
+// its Accesses logs are never nil. The local backends also size every
+// slice exactly (capacity equals length; see ski.Result); the remote one
+// decodes each field into its own array.
 type Executor interface {
 	// Name is the backend's registry name.
 	Name() string

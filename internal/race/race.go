@@ -16,8 +16,11 @@
 package race
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"snowcat/internal/sim"
 	"snowcat/internal/ski"
@@ -67,17 +70,21 @@ func Detect(res *ski.Result) []Race { return DetectWindow(res, DefaultWindow) }
 
 // DetectWindow is Detect with an explicit proximity window (in global
 // interleaving steps); window <= 0 means unbounded (pure lockset
-// detection).
+// detection). The returned slice is the caller's and exactly sized; it is
+// nil when the execution has no race.
 func DetectWindow(res *ski.Result, window int) []Race {
+	sc := detectPool.Get().(*detectScratch)
+	defer sc.release()
 	// Bucket thread-0 accesses by address to avoid the full cross product.
-	byAddr := make(map[int32][]syz.Access)
 	for _, a := range res.Accesses[0] {
-		byAddr[a.Addr] = append(byAddr[a.Addr], a)
+		sc.add(a)
 	}
-	seen := make(map[string]bool)
-	var out []Race
 	for _, b := range res.Accesses[1] {
-		for _, a := range byAddr[b.Addr] {
+		bi, ok := sc.index[b.Addr]
+		if !ok {
+			continue
+		}
+		for _, a := range sc.buckets[bi] {
 			if !a.Write && !b.Write {
 				continue // read-read never races
 			}
@@ -94,40 +101,78 @@ func DetectWindow(res *ski.Result, window int) []Race {
 				}
 			}
 			r := canonical(a.Ref, b.Ref, b.Addr)
-			if k := r.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, r)
+			if _, dup := sc.seen[r]; !dup {
+				sc.seen[r] = struct{}{}
+				sc.out = append(sc.out, r)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return refLess(out[i].A, out[j].A)
-		}
-		if out[i].B != out[j].B {
-			return refLess(out[i].B, out[j].B)
-		}
-		return out[i].Addr < out[j].Addr
+	if len(sc.out) == 0 {
+		return nil
+	}
+	slices.SortFunc(sc.out, func(x, y Race) int {
+		return cmp.Or(
+			cmp.Compare(x.A.Block, y.A.Block), cmp.Compare(x.A.Idx, y.A.Idx),
+			cmp.Compare(x.B.Block, y.B.Block), cmp.Compare(x.B.Idx, y.B.Idx),
+			cmp.Compare(x.Addr, y.Addr))
 	})
+	out := make([]Race, len(sc.out))
+	copy(out, sc.out)
 	return out
+}
+
+// detectScratch is DetectWindow's working state, recycled through
+// detectPool: thread-0 accesses bucketed by address, the dedupe set and
+// the unsorted output. Buckets keep their capacity between executions.
+type detectScratch struct {
+	index   map[int32]int // address -> bucket
+	buckets [][]syz.Access
+	used    int // buckets in use by the current execution
+	seen    map[Race]struct{}
+	out     []Race
+}
+
+var detectPool = sync.Pool{New: func() any {
+	return &detectScratch{index: make(map[int32]int), seen: make(map[Race]struct{})}
+}}
+
+func (sc *detectScratch) add(a syz.Access) {
+	bi, ok := sc.index[a.Addr]
+	if !ok {
+		bi = sc.used
+		sc.used++
+		if bi == len(sc.buckets) {
+			sc.buckets = append(sc.buckets, nil)
+		}
+		sc.buckets[bi] = sc.buckets[bi][:0]
+		sc.index[a.Addr] = bi
+	}
+	sc.buckets[bi] = append(sc.buckets[bi], a)
+}
+
+func (sc *detectScratch) release() {
+	clear(sc.index)
+	sc.used = 0
+	clear(sc.seen)
+	sc.out = sc.out[:0]
+	detectPool.Put(sc)
 }
 
 // Set accumulates unique races across many executions, the cumulative
 // "data-race-coverage" metric of §5.3.
 type Set struct {
-	m map[string]Race
+	m map[Race]struct{}
 }
 
 // NewSet returns an empty cumulative race set.
-func NewSet() *Set { return &Set{m: make(map[string]Race)} }
+func NewSet() *Set { return &Set{m: make(map[Race]struct{})} }
 
 // Add inserts the races and returns how many were new.
 func (s *Set) Add(races []Race) int {
 	n := 0
 	for _, r := range races {
-		k := r.Key()
-		if _, ok := s.m[k]; !ok {
-			s.m[k] = r
+		if _, ok := s.m[r]; !ok {
+			s.m[r] = struct{}{}
 			n++
 		}
 	}
@@ -139,16 +184,24 @@ func (s *Set) Size() int { return len(s.m) }
 
 // Has reports whether an equivalent race is already in the set.
 func (s *Set) Has(r Race) bool {
-	_, ok := s.m[r.Key()]
+	_, ok := s.m[r]
 	return ok
 }
 
-// Races returns all unique races in deterministic order.
+// Races returns all unique races in deterministic order: ascending Key.
 func (s *Set) Races() []Race {
-	out := make([]Race, 0, len(s.m))
-	for _, r := range s.m {
-		out = append(out, r)
+	type keyed struct {
+		key string
+		r   Race
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	ks := make([]keyed, 0, len(s.m))
+	for r := range s.m {
+		ks = append(ks, keyed{r.Key(), r})
+	}
+	slices.SortFunc(ks, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+	out := make([]Race, len(ks))
+	for i, k := range ks {
+		out[i] = k.r
+	}
 	return out
 }

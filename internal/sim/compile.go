@@ -309,13 +309,17 @@ type CThread struct {
 // NewCThread creates a compiled-execution thread on machine m. The machine
 // must have been built for p.Kernel().
 func NewCThread(p *Program, m *Machine, id int32, sti []Call) *CThread {
-	t := &CThread{p: p}
-	t.ID = id
-	t.m = m
-	t.sti = sti
-	t.state = Done
-	t.startNextSyscall()
+	t := &CThread{}
+	t.Reset(p, m, id, sti)
 	return t
+}
+
+// Reset returns t to the state NewCThread(p, m, id, sti) builds, keeping
+// its call-stack capacity. The per-step event buffer is left as it is:
+// Step overwrites it before anything reads it.
+func (t *CThread) Reset(p *Program, m *Machine, id int32, sti []Call) {
+	t.Thread.Reset(m, id, sti)
+	t.p = p
 }
 
 // Step executes one instruction via the compiled program. Its observable

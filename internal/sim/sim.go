@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"snowcat/internal/kasm"
 	"snowcat/internal/kernel"
@@ -100,17 +101,25 @@ type Machine struct {
 
 // NewMachine prepares a machine with freshly initialised memory.
 func NewMachine(k *kernel.Kernel) *Machine {
-	m := &Machine{
-		K:         k,
-		Mem:       make([]int64, len(k.InitMem)),
-		lockOwner: make([]int32, k.NumLocks),
-		lockDepth: make([]int32, k.NumLocks),
-	}
-	copy(m.Mem, k.InitMem)
+	m := &Machine{}
+	m.Reset(k)
+	return m
+}
+
+// Reset returns m to the state NewMachine(k) builds — initial memory, all
+// locks free, Steps and Limit zero — reusing its buffers when they are
+// large enough.
+func (m *Machine) Reset(k *kernel.Kernel) {
+	m.K = k
+	m.Mem = append(m.Mem[:0], k.InitMem...)
+	m.lockOwner = slices.Grow(m.lockOwner[:0], k.NumLocks)[:k.NumLocks]
+	m.lockDepth = slices.Grow(m.lockDepth[:0], k.NumLocks)[:k.NumLocks]
 	for i := range m.lockOwner {
 		m.lockOwner[i] = -1
+		m.lockDepth[i] = 0
 	}
-	return m
+	m.Steps = 0
+	m.Limit = 0
 }
 
 // LockOwner returns the thread holding lock id, or -1.
@@ -151,9 +160,16 @@ type Thread struct {
 // NewThread creates a thread on machine m that will execute sti.
 // The thread is Done immediately if sti is empty.
 func NewThread(m *Machine, id int32, sti []Call) *Thread {
-	t := &Thread{ID: id, m: m, sti: sti, state: Done}
-	t.startNextSyscall()
+	t := &Thread{}
+	t.Reset(m, id, sti)
 	return t
+}
+
+// Reset returns t to the state NewThread(m, id, sti) builds, keeping only
+// its call-stack capacity.
+func (t *Thread) Reset(m *Machine, id int32, sti []Call) {
+	*t = Thread{ID: id, m: m, sti: sti, state: Done, stack: t.stack[:0]}
+	t.startNextSyscall()
 }
 
 // State returns the thread's current state, re-evaluating lock blockage:

@@ -1,8 +1,6 @@
 package ski
 
 import (
-	"fmt"
-
 	"snowcat/internal/kernel"
 	"snowcat/internal/sim"
 )
@@ -44,28 +42,11 @@ type ExecHooks struct {
 // ExecuteHooked is ExecuteSteps with in-run schedule-point hooks. A nil
 // hooks (or nil SchedulePoint) is bit-identical to ExecuteSteps.
 func ExecuteHooked(k *kernel.Kernel, cti CTI, sched Schedule, stepLimit int, hooks *ExecHooks) (*Result, error) {
-	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
-	}
-	m := sim.NewMachine(k)
-	m.Limit = stepLimit
-	return runSchedule(k, cti, sched, [2]execThread{
-		sim.NewThread(m, 0, cti.A.Calls),
-		sim.NewThread(m, 1, cti.B.Calls),
-	}, hooks)
+	return execute(k, nil, cti, sched, stepLimit, hooks)
 }
 
 // ExecuteCompiledHooked is ExecuteCompiledSteps with in-run schedule-point
 // hooks, the compiled counterpart of ExecuteHooked.
 func ExecuteCompiledHooked(p *sim.Program, cti CTI, sched Schedule, stepLimit int, hooks *ExecHooks) (*Result, error) {
-	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
-	}
-	k := p.Kernel()
-	m := sim.NewMachine(k)
-	m.Limit = stepLimit
-	return runSchedule(k, cti, sched, [2]execThread{
-		sim.NewCThread(p, m, 0, cti.A.Calls),
-		sim.NewCThread(p, m, 1, cti.B.Calls),
-	}, hooks)
+	return execute(p.Kernel(), p, cti, sched, stepLimit, hooks)
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"snowcat/internal/kernel"
 	"snowcat/internal/sim"
@@ -148,6 +149,12 @@ func (s Schedule) Validate() error {
 }
 
 // Result is everything observed during one concurrent execution.
+//
+// Ownership: the caller owns a returned Result outright. Nothing else
+// aliases it — not the executor's pooled scratch, not another Result —
+// and every slice's capacity equals its length, so appending to one field
+// reallocates instead of writing into a neighbour. Accesses[0] and
+// Accesses[1] are never nil, even when empty.
 type Result struct {
 	// Covered is the union block coverage of the concurrent execution.
 	Covered []bool
@@ -205,15 +212,7 @@ func Execute(k *kernel.Kernel, cti CTI, sched Schedule) (*Result, error) {
 // schedule is validated up front so a corrupted schedule degrades to an
 // ErrBadSchedule-wrapped error instead of an index panic on a pool worker.
 func ExecuteSteps(k *kernel.Kernel, cti CTI, sched Schedule, stepLimit int) (*Result, error) {
-	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
-	}
-	m := sim.NewMachine(k)
-	m.Limit = stepLimit
-	return runSchedule(k, cti, sched, [2]execThread{
-		sim.NewThread(m, 0, cti.A.Calls),
-		sim.NewThread(m, 1, cti.B.Calls),
-	}, nil)
+	return execute(k, nil, cti, sched, stepLimit, nil)
 }
 
 // ExecuteCompiled is Execute through the compiled direct-threaded executor:
@@ -227,16 +226,7 @@ func ExecuteCompiled(p *sim.Program, cti CTI, sched Schedule) (*Result, error) {
 
 // ExecuteCompiledSteps is ExecuteCompiled with ExecuteSteps' budget knob.
 func ExecuteCompiledSteps(p *sim.Program, cti CTI, sched Schedule, stepLimit int) (*Result, error) {
-	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
-	}
-	k := p.Kernel()
-	m := sim.NewMachine(k)
-	m.Limit = stepLimit
-	return runSchedule(k, cti, sched, [2]execThread{
-		sim.NewCThread(p, m, 0, cti.A.Calls),
-		sim.NewCThread(p, m, 1, cti.B.Calls),
-	}, nil)
+	return execute(p.Kernel(), p, cti, sched, stepLimit, nil)
 }
 
 // execThread is the scheduler's view of a kernel thread; both the
@@ -248,23 +238,77 @@ type execThread interface {
 	InjectIRQ(fn int32)
 }
 
+// scratch is one execution's working state — the machine, both threads
+// with their call stacks, both access logs, the bug log and the pending
+// injections — recycled through scratchPool so that an execution
+// allocates only what its Result keeps. A compiled thread embeds the
+// interpreter's Thread, so the same two threads serve both executors.
+type scratch struct {
+	m    sim.Machine
+	t    [2]sim.CThread
+	acc  [2][]syz.Access
+	bugs []int32
+	irqs []IRQHint
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledAccesses caps the access-log capacity a scratch keeps when it
+// returns to the pool, so one runaway execution does not pin megabytes.
+const maxPooledAccesses = 1 << 14
+
+// release sheds oversized logs and returns the scratch to the pool.
+func (sc *scratch) release() {
+	for i := range sc.acc {
+		if cap(sc.acc[i]) > maxPooledAccesses {
+			sc.acc[i] = nil
+		}
+	}
+	scratchPool.Put(sc)
+}
+
+// execute is the one entry behind every Execute* variant: it validates the
+// schedule, builds the two threads on pooled scratch — interpreted when p
+// is nil, compiled from p otherwise — and runs the scheduler.
+func execute(k *kernel.Kernel, p *sim.Program, cti CTI, sched Schedule, stepLimit int, hooks *ExecHooks) (*Result, error) {
+	if err := sched.Validate(); err != nil {
+		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	sc.m.Reset(k)
+	sc.m.Limit = stepLimit
+	sc.acc[0], sc.acc[1], sc.bugs = sc.acc[0][:0], sc.acc[1][:0], sc.bugs[:0]
+	var threads [2]execThread
+	for i, calls := range [2][]sim.Call{cti.A.Calls, cti.B.Calls} {
+		if p == nil {
+			sc.t[i].Thread.Reset(&sc.m, int32(i), calls)
+			threads[i] = &sc.t[i].Thread
+		} else {
+			sc.t[i].Reset(p, &sc.m, int32(i), calls)
+			threads[i] = &sc.t[i]
+		}
+	}
+	return runSchedule(k, cti, sched, threads, hooks, sc)
+}
+
 // runSchedule is the executor core shared by the interpreted and compiled
 // paths: the SKI uniprocessor scheduling loop over two pre-built threads.
 // hooks may be nil (the pre-planned-hints-only fast path, bit-identical to
-// the pre-hook executor).
-func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThread, hooks *ExecHooks) (*Result, error) {
-	res := &Result{Covered: make([]bool, k.NumBlocks())}
-	res.CoveredBy[0] = make([]bool, k.NumBlocks())
-	res.CoveredBy[1] = make([]bool, k.NumBlocks())
-	// Access logs reach hundreds of entries on typical CTIs; starting the
-	// append ladder at a real capacity removes the early growslice copies
-	// that used to dominate the recording cost (capacity is invisible to
-	// the DeepEqual result contract).
-	res.Accesses[0] = make([]syz.Access, 0, 256)
-	res.Accesses[1] = make([]syz.Access, 0, 256)
+// the pre-hook executor). Accesses and bug hits are recorded into sc's
+// reusable logs and copied into the Result once, exactly sized, when the
+// run completes.
+func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThread, hooks *ExecHooks, sc *scratch) (*Result, error) {
+	// One backing array holds the union and both per-thread coverages.
+	nb := k.NumBlocks()
+	cov := make([]bool, 3*nb)
+	res := &Result{Covered: cov[:nb:nb]}
+	res.CoveredBy[0] = cov[nb : 2*nb : 2*nb]
+	res.CoveredBy[1] = cov[2*nb : 3*nb : 3*nb]
 
 	hints := sched.Hints
-	irqs := append([]IRQHint(nil), sched.IRQs...)
+	sc.irqs = append(sc.irqs[:0], sched.IRQs...)
+	irqs := sc.irqs
 	cur := int32(0)
 	globalStep := 0
 
@@ -289,6 +333,7 @@ func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThrea
 			}
 			if done[cur] && done[other] {
 				res.Steps = globalStep
+				sc.detach(res)
 				return res, nil
 			}
 			// Both threads stuck: with single-lock critical sections this
@@ -321,13 +366,13 @@ func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThrea
 			res.CoveredBy[cur][ev.Block] = true
 		}
 		if ev.Read || ev.Write {
-			res.Accesses[cur] = append(res.Accesses[cur], syz.Access{
+			sc.acc[cur] = append(sc.acc[cur], syz.Access{
 				Ref: ev.Ref, Write: ev.Write, Addr: ev.Addr,
 				Value: ev.Value, Lockset: ev.Lockset, Step: globalStep,
 			})
 		}
 		if ev.BugHit {
-			res.BugsHit = append(res.BugsHit, ev.BugID)
+			sc.bugs = append(sc.bugs, ev.BugID)
 		}
 
 		// Interrupt injection: any pending IRQ hint for this thread fires
@@ -366,6 +411,22 @@ func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThrea
 				res.HintsFired++
 			}
 		}
+	}
+}
+
+// detach copies the recorded logs into res. Both access logs share one
+// new array, exactly as long as the two together, split with full slice
+// expressions so an append to the first cannot overwrite the second.
+// BugsHit stays nil when no bug fired.
+func (sc *scratch) detach(res *Result) {
+	n0, n1 := len(sc.acc[0]), len(sc.acc[1])
+	all := make([]syz.Access, n0+n1)
+	copy(all, sc.acc[0])
+	copy(all[n0:], sc.acc[1])
+	res.Accesses = [2][]syz.Access{all[:n0:n0], all[n0 : n0+n1 : n0+n1]}
+	if len(sc.bugs) > 0 {
+		res.BugsHit = make([]int32, len(sc.bugs))
+		copy(res.BugsHit, sc.bugs)
 	}
 }
 
