@@ -1,6 +1,6 @@
 // Cross-backend equivalence matrix: the pinned campaign, razzer, and
 // snowboard fixtures run over every executor the build registers — the
-// in-process interp and compiled backends plus the loopback remote
+// in-process interp backend plus the loopback remote
 // backend (this file imports internal/serve, whose init registers it) —
 // and every history and result row must be reflect.DeepEqual to the
 // interpreter's. This is the acceptance gate for the executor registry:
@@ -80,8 +80,8 @@ func matrixResilience(tb testing.TB) *explore.Resilience {
 }
 
 // TestCampaignHistoryAcrossBackends pins the acceptance criterion:
-// campaign History is DeepEqual across interp, compiled, and loopback
-// remote at workers {1, 4}, with fault injection enabled, for both plain
+// campaign History is DeepEqual across interp and loopback remote at
+// workers {1, 4}, with fault injection enabled, for both plain
 // PCT and MLPCT.
 func TestCampaignHistoryAcrossBackends(t *testing.T) {
 	f := getParFixture()
@@ -110,7 +110,7 @@ func TestCampaignHistoryAcrossBackends(t *testing.T) {
 	}
 	backends := matrixBackends(t, f.k)
 	for _, guided := range []bool{false, true} {
-		want := run(backends[0], 1, guided) // Executors() is sorted: compiled first — any row works as baseline
+		want := run(backends[0], 1, guided) // Executors() is sorted: interp first
 		if want.TotalExecs == 0 {
 			t.Fatal("baseline campaign executed nothing; fixture too small")
 		}
@@ -235,9 +235,8 @@ func TestSnowboardExploreAcrossBackends(t *testing.T) {
 }
 
 // BenchmarkCampaignBackend compares end-to-end campaign throughput across
-// the registered executors — interp vs compiled vs remote over a loopback
-// shard — so backend overhead (the compiled win, the wire tax) is tracked
-// in BENCH_campaign.json.
+// the registered executors — interp vs remote over a loopback shard — so
+// the remote backend's wire tax is tracked in BENCH_campaign.json.
 func BenchmarkCampaignBackend(b *testing.B) {
 	f := getParFixture()
 	for _, name := range explore.Executors() {

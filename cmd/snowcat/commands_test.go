@@ -3,8 +3,13 @@ package main
 import (
 	"errors"
 	"flag"
+	"io"
+	"net"
+	"net/http"
 	"os"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestSharedFlagSets pins the deduplicated flag registration: every
@@ -28,7 +33,6 @@ func TestSharedFlagSets(t *testing.T) {
 	parallel := []string{"-parallel", "2"}
 	chaos := []string{"-fault-rate", "0.1", "-fault-seed", "3", "-retries", "2"}
 	serving := []string{"-max-batch", "8", "-wait-ms", "1", "-queue", "16", "-deadline-ms", "100", "-cache", "8"}
-	quantized := []string{"-quantized"}
 	cases := []struct {
 		name   string
 		cmd    func([]string) error
@@ -36,13 +40,13 @@ func TestSharedFlagSets(t *testing.T) {
 	}{
 		{"collect", cmdCollect, [][]string{parallel}},
 		{"train", cmdTrain, [][]string{parallel}},
-		{"eval", cmdEval, [][]string{parallel, quantized}},
-		{"campaign", cmdCampaign, [][]string{parallel, chaos, quantized}},
+		{"eval", cmdEval, [][]string{parallel}},
+		{"campaign", cmdCampaign, [][]string{parallel, chaos}},
 		{"razzer", cmdRazzer, [][]string{parallel, chaos}},
 		{"snowboard", cmdSnowboard, [][]string{parallel, chaos}},
-		{"serve", cmdServe, [][]string{parallel, serving, quantized}},
-		{"loadgen", cmdLoadgen, [][]string{parallel, serving, quantized}},
-		{"fleet", cmdFleet, [][]string{quantized}},
+		{"serve", cmdServe, [][]string{parallel, serving}},
+		{"loadgen", cmdLoadgen, [][]string{parallel, serving}},
+		{"fleet", cmdFleet, nil},
 		{"learn", cmdLearn, [][]string{parallel, chaos}},
 		{"amplify", cmdAmplify, [][]string{parallel}},
 	}
@@ -78,6 +82,48 @@ func TestCmdServeLoadgen(t *testing.T) {
 	}
 	if err := cmdLoadgen([]string{"-rate", "-1"}); err == nil {
 		t.Fatal("negative -rate accepted")
+	}
+}
+
+// TestHTTPServerDropsSlowHeaders pins the CLI servers' header timeout: a
+// client that sends part of a request line and then stalls is
+// disconnected once readHeaderTimeout has passed, instead of holding the
+// connection forever.
+func TestHTTPServerDropsSlowHeaders(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(http.NotFoundHandler())
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /v1/predict HT")); err != nil {
+		t.Fatal(err)
+	}
+	// The client-side deadline only keeps a broken server from hanging
+	// the test; the server must close well before it.
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// net/http answers the truncated request with a 4xx before closing;
+	// either way the connection must end.
+	reply, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("read after a partial request line: %v (got %q); want the server to close", err, reply)
+	}
+	if len(reply) > 0 && !strings.HasPrefix(string(reply), "HTTP/1.1 4") {
+		t.Fatalf("server replied %q, want nothing or a 4xx", reply)
+	}
+	if elapsed < readHeaderTimeout {
+		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
 	}
 }
 
@@ -174,9 +220,9 @@ func TestCmdSmallKernelRuns(t *testing.T) {
 			[]string{"-seed", "9", "-model", model, "-ctis", "3", "-budget", "3", "-retrain-every", "0"}},
 		{"amplify exhaustive", cmdAmplify,
 			[]string{"-seed", "3", "-bug", "6", "-samples", "50", "-trials", "5", "-rounds", "2", "-parallel", "2"}},
-		{"amplify guided compiled", cmdAmplify,
+		{"amplify guided interp", cmdAmplify,
 			[]string{"-seed", "3", "-bug", "5", "-samples", "200", "-trials", "5", "-rounds", "2",
-				"-model", model, "-top-k", "4", "-strategy", "s1", "-executor", "compiled", "-parallel", "2"}},
+				"-model", model, "-top-k", "4", "-strategy", "s1", "-executor", "interp", "-parallel", "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -45,6 +45,26 @@ func serveFlags(fs *flag.FlagSet) func() serve.Config {
 	}
 }
 
+// Connection timeouts of every HTTP server the CLI starts. Without them a
+// client that never finishes its request headers holds a connection (and
+// its goroutine) forever.
+const (
+	readHeaderTimeout = 2 * time.Second  // request line and headers
+	readTimeout       = 30 * time.Second // the whole request, body included
+	idleTimeout       = 60 * time.Second // a keep-alive connection between requests
+)
+
+// newHTTPServer wraps h in an http.Server with the CLI's connection
+// timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serveModel loads the model file, or — when path is empty — builds a
 // fresh untrained model over the kernel, so the serving stack can be
 // exercised without a training run first.
@@ -56,7 +76,7 @@ func serveModel(k *kernel.Kernel, path string, seed uint64) (*pic.Model, error) 
 }
 
 // newServerFromFlags assembles kernel, model, registry, and server.
-func newServerFromFlags(seed uint64, size, model string, quantized bool, mkConfig func() serve.Config) (*serve.Server, *kernel.Kernel, error) {
+func newServerFromFlags(seed uint64, size, model string, mkConfig func() serve.Config) (*serve.Server, *kernel.Kernel, error) {
 	k, _, err := kernelFromFlags(seed, size)
 	if err != nil {
 		return nil, nil, err
@@ -65,7 +85,6 @@ func newServerFromFlags(seed uint64, size, model string, quantized bool, mkConfi
 	if err != nil {
 		return nil, nil, err
 	}
-	m.SetQuantized(quantized)
 	reg := serve.NewRegistry()
 	if err := reg.Load("v1", m, pic.NewTokenCache(k, m.Vocab)); err != nil {
 		return nil, nil, err
@@ -83,11 +102,10 @@ func cmdServe(args []string) error {
 	model := fs.String("model", "", "model file to serve (empty serves an untrained model)")
 	duration := fs.Duration("duration", 0, "stop after this long (0 = run until interrupted)")
 	mkConfig := serveFlags(fs)
-	quant := quantizedFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	s, k, err := newServerFromFlags(*seed, *size, *model, *quant, mkConfig)
+	s, k, err := newServerFromFlags(*seed, *size, *model, mkConfig)
 	if err != nil {
 		return err
 	}
@@ -97,7 +115,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Printf("serving %s (kernel %s, %d blocks) on http://%s\n",
@@ -139,7 +157,6 @@ func cmdLoadgen(args []string) error {
 	batch := fs.Int("batch", 8, "graphs per request")
 	rate := fs.Float64("rate", 0, "offered requests/sec for open-loop Poisson arrivals (0 = closed-loop blast)")
 	mkConfig := serveFlags(fs)
-	quant := quantizedFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -156,7 +173,7 @@ func cmdLoadgen(args []string) error {
 	var inproc *serve.Server
 	base := *addr
 	if base == "" {
-		s, _, err := newServerFromFlags(*seed, *size, *model, *quant, mkConfig)
+		s, _, err := newServerFromFlags(*seed, *size, *model, mkConfig)
 		if err != nil {
 			return err
 		}
@@ -165,7 +182,7 @@ func cmdLoadgen(args []string) error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: s.Handler()}
+		hs := newHTTPServer(s.Handler())
 		go hs.Serve(ln)
 		defer hs.Close()
 		base = "http://" + ln.Addr().String()

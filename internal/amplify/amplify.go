@@ -125,8 +125,8 @@ type Config struct {
 	StepLimit int
 	// MidRun switches trial noise from pre-planned hint jitter to in-run
 	// SchedulePoint hook preemptions (ski.ExecHooks). Requires a backend
-	// implementing explore.HookedExecutor (interp, compiled); remote
-	// backends fall back to pre-planned jitter.
+	// implementing explore.HookedExecutor (interp); remote backends fall
+	// back to pre-planned jitter.
 	MidRun bool
 }
 
@@ -206,7 +206,7 @@ func Run(w Witness, opt Config) (*Report, error) {
 	rep := &Report{ExecsTo90: -1}
 
 	// Predictor setup: one schedule-independent base per run, shared by
-	// every round's fused scoring sweep.
+	// every round's batched scoring sweep.
 	var base *ctgraph.Base
 	var witnessScores []float64
 	var bugBlock int32 = -1
@@ -301,7 +301,7 @@ func Run(w Witness, opt Config) (*Report, error) {
 }
 
 // rank scores the fresh neighbors with the predictor over the shared base
-// (a fused sweep), orders them by predicted bug-block coverage plus
+// (one batched sweep), orders them by predicted bug-block coverage plus
 // cosine similarity to the witness's score vector, applies the optional
 // strategy filter, and returns the top-K. Pure function of its inputs:
 // the order ties break by generation position.

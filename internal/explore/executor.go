@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"snowcat/internal/kernel"
-	"snowcat/internal/sim"
 	"snowcat/internal/ski"
 )
 
@@ -21,9 +20,9 @@ import (
 //
 // Every returned *ski.Result belongs to the caller: nothing aliases it —
 // no executor scratch, no other result, no other field of itself — and
-// its Accesses logs are never nil. The local backends also size every
-// slice exactly (capacity equals length; see ski.Result); the remote one
-// decodes each field into its own array.
+// its Accesses logs are never nil. The local interp backend also sizes
+// every slice exactly (capacity equals length; see ski.Result); the remote
+// one decodes each field into its own array.
 type Executor interface {
 	// Name is the backend's registry name.
 	Name() string
@@ -38,8 +37,8 @@ type Executor interface {
 }
 
 // HookedExecutor is the optional executor extension for in-run
-// schedule-point hooks (ski.ExecHooks). Local backends (interp, compiled)
-// implement it; remote backends do not — callbacks cannot cross the wire —
+// schedule-point hooks (ski.ExecHooks). The local interp backend
+// implements it; remote backends do not — callbacks cannot cross the wire —
 // so consumers type-assert and fall back to pre-planned schedules when the
 // assertion fails (amplify's mid-run mode does exactly this).
 type HookedExecutor interface {
@@ -49,8 +48,8 @@ type HookedExecutor interface {
 	ExecuteHooked(cti ski.CTI, sched ski.Schedule, stepLimit int, hooks *ski.ExecHooks) (*ski.Result, error)
 }
 
-// Env carries everything an executor factory may need. Local backends use
-// only Kernel; the remote backend additionally needs the shard URLs (and
+// Env carries everything an executor factory may need. The local interp
+// backend uses only Kernel; the remote backend additionally needs the shard URLs (and
 // optionally the ring's virtual-node count).
 type Env struct {
 	// Kernel is the kernel executions run against. Required by every
@@ -141,12 +140,6 @@ func init() {
 		}
 		return interpExecutor{k: env.Kernel}, nil
 	})
-	RegisterExecutor("compiled", func(env Env) (Executor, error) {
-		if env.Kernel == nil {
-			return nil, fmt.Errorf("explore: executor compiled: Env.Kernel is required")
-		}
-		return compiledExecutor{p: sim.Compile(env.Kernel)}, nil
-	})
 }
 
 // interpExecutor is the interpreter backend: today's ski.Execute.
@@ -167,26 +160,4 @@ func (e interpExecutor) ExecuteSteps(cti ski.CTI, sched ski.Schedule, stepLimit 
 
 func (e interpExecutor) ExecuteHooked(cti ski.CTI, sched ski.Schedule, stepLimit int, hooks *ski.ExecHooks) (*ski.Result, error) {
 	return ski.ExecuteHooked(e.k, cti, sched, stepLimit, hooks)
-}
-
-// compiledExecutor is the direct-threaded backend: the kernel is compiled
-// once at construction and the read-only *sim.Program is shared race-free
-// across pool workers.
-type compiledExecutor struct {
-	p *sim.Program
-}
-
-func (e compiledExecutor) Name() string           { return "compiled" }
-func (e compiledExecutor) Kernel() *kernel.Kernel { return e.p.Kernel() }
-
-func (e compiledExecutor) Execute(cti ski.CTI, sched ski.Schedule) (*ski.Result, error) {
-	return ski.ExecuteCompiled(e.p, cti, sched)
-}
-
-func (e compiledExecutor) ExecuteSteps(cti ski.CTI, sched ski.Schedule, stepLimit int) (*ski.Result, error) {
-	return ski.ExecuteCompiledSteps(e.p, cti, sched, stepLimit)
-}
-
-func (e compiledExecutor) ExecuteHooked(cti ski.CTI, sched ski.Schedule, stepLimit int, hooks *ski.ExecHooks) (*ski.Result, error) {
-	return ski.ExecuteCompiledHooked(e.p, cti, sched, stepLimit, hooks)
 }

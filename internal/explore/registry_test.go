@@ -11,17 +11,17 @@ import (
 	"snowcat/internal/syz"
 )
 
-// TestExecutorsLists pins the shipped in-process backends: the explore
-// package itself registers interp and compiled (remote joins from serve's
-// init, which this package does not link), sorted by name.
+// TestExecutorsLists pins the shipped in-process backend: the explore
+// package itself registers interp (remote joins from serve's init, which
+// this package does not link), sorted by name.
 func TestExecutorsLists(t *testing.T) {
 	names := Executors()
 	has := map[string]bool{}
 	for _, n := range names {
 		has[n] = true
 	}
-	if !has["interp"] || !has["compiled"] {
-		t.Fatalf("Executors() = %v, want interp and compiled registered", names)
+	if !has["interp"] {
+		t.Fatalf("Executors() = %v, want interp registered", names)
 	}
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
@@ -83,21 +83,19 @@ func TestRegisterExecutorRejectsBadArgs(t *testing.T) {
 	}
 }
 
-// TestBuiltinFactoriesRequireKernel pins that both in-process backends
-// reject an environment without a kernel instead of deferring the nil
+// TestBuiltinFactoriesRequireKernel pins that the in-process backend
+// rejects an environment without a kernel instead of deferring the nil
 // dereference to execution time.
 func TestBuiltinFactoriesRequireKernel(t *testing.T) {
-	for _, name := range []string{"interp", "compiled"} {
-		if _, err := NewExecutor(name, Env{}); err == nil {
-			t.Fatalf("executor %q accepted an Env without a kernel", name)
-		}
+	if _, err := NewExecutor("interp", Env{}); err == nil {
+		t.Fatal("executor interp accepted an Env without a kernel")
 	}
 }
 
-// TestBackendsExecuteIdentically is the registry-level parity pin: every
-// in-process backend resolved by name returns results DeepEqual to the
-// interpreter's over a shared schedule stream, reports its registered
-// name, and hands back the kernel it executes.
+// TestBackendsExecuteIdentically is the registry-level parity pin: the
+// in-process backend resolved by name returns results DeepEqual to
+// ski.Execute over a shared schedule stream, reports its registered name,
+// and hands back the kernel it executes.
 func TestBackendsExecuteIdentically(t *testing.T) {
 	k := kernel.Generate(kernel.SmallConfig(91))
 	gen := syz.NewGenerator(k, 92)
@@ -120,29 +118,27 @@ func TestBackendsExecuteIdentically(t *testing.T) {
 	if interp.Name() != "interp" {
 		t.Fatalf("DefaultExecutor name %q, want interp", interp.Name())
 	}
-	for _, name := range []string{"interp", "compiled"} {
-		ex, err := NewExecutor(name, Env{Kernel: k})
+	ex, err := NewExecutor("interp", Env{Kernel: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Name() != "interp" {
+		t.Fatalf("executor interp reports name %q", ex.Name())
+	}
+	if ex.Kernel() != k {
+		t.Fatal("executor interp does not return its kernel")
+	}
+	for i, sched := range scheds {
+		want, err := ski.Execute(k, cti, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ex.Name() != name {
-			t.Fatalf("executor %q reports name %q", name, ex.Name())
+		got, err := ex.Execute(cti, sched)
+		if err != nil {
+			t.Fatalf("schedule %d: %v", i, err)
 		}
-		if ex.Kernel() != k {
-			t.Fatalf("executor %q does not return its kernel", name)
-		}
-		for i, sched := range scheds {
-			want, err := interp.Execute(cti, sched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ex.Execute(cti, sched)
-			if err != nil {
-				t.Fatalf("%s schedule %d: %v", name, i, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s schedule %d diverged from interpreter", name, i)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("schedule %d diverged from ski.Execute", i)
 		}
 	}
 }

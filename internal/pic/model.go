@@ -27,7 +27,6 @@ import (
 	"snowcat/internal/kernel"
 	"snowcat/internal/nn"
 	"snowcat/internal/parallel"
-	"snowcat/internal/ski"
 	"snowcat/internal/tensor"
 	"snowcat/internal/xrand"
 )
@@ -119,12 +118,6 @@ type Model struct {
 	// DFHead is the §6 inter-thread data-flow prediction head (see
 	// dataflow.go); nil until EnsureDFHead or TrainDF is called.
 	DFHead *nn.Dense
-
-	// qgcn holds the int8 snapshots of the GCN layers while quantized
-	// inference is enabled (SetQuantized). Unexported on purpose: the gob
-	// snapshot stays float-only, and quantized state never survives
-	// Save/Load or Clone — re-enable after deserialising.
-	qgcn []*nn.QGCNLayer
 }
 
 // Hint-role embedding indices.
@@ -240,18 +233,10 @@ func relGraphInto(rg *nn.RelGraph, g *ctgraph.Graph) *nn.RelGraph {
 type BaseContext struct {
 	base   *ctgraph.Base
 	static *tensor.Matrix // NumVertices×Dim: encoder + vertex-type rows
-	// rg is the static adjacency: the CSR of every schedule-independent
-	// relation (all edge populations except Hint and IRQ, which an empty
-	// schedule leaves unpopulated). The fused sweep walks it once per
-	// relation for a whole block of schedules instead of rebuilding the
-	// full adjacency per schedule; per-schedule Hint edges ride in tiny
-	// delta adjacencies (see PredictAllFused). Read-only after build.
-	rg *nn.RelGraph
 }
 
 // NewBaseContext precomputes the schedule-independent feature rows for
-// every vertex of base, plus the static adjacency the fused sweep shares
-// across schedules.
+// every vertex of base.
 func (m *Model) NewBaseContext(base *ctgraph.Base, tc *TokenCache) *BaseContext {
 	static := tensor.New(base.NumVertices(), m.Cfg.Dim)
 	for i, v := range base.Vertices() {
@@ -259,8 +244,7 @@ func (m *Model) NewBaseContext(base *ctgraph.Base, tc *TokenCache) *BaseContext 
 		m.Enc.EncodeInto(tc.IDs[v.Block], row)
 		tensor.AXPY(1, m.VType.Row(int(v.Type)), row)
 	}
-	return &BaseContext{base: base, static: static,
-		rg: relGraph(base.WithSchedule(ski.Schedule{}))}
+	return &BaseContext{base: base, static: static}
 }
 
 // featCache carries the feature-assembly intermediates the backward pass
@@ -442,7 +426,6 @@ type Scratch struct {
 	x, h   *tensor.Matrix
 	agg    *tensor.Matrix
 	logits *tensor.Matrix
-	deltas []*nn.RelGraph // fused sweep: per-schedule hint adjacencies
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use and are
@@ -453,10 +436,7 @@ func NewScratch() *Scratch { return &Scratch{} }
 // returning a logits matrix owned by s (valid until the next call). The
 // operation order matches forward exactly, so the two paths produce
 // bit-identical probabilities; a BaseContext (which may be nil) only
-// substitutes precomputed feature rows, never changes an op. The one
-// deliberate exception is quantized mode (SetQuantized), which swaps the
-// GCN stack for its int8 snapshots and tracks the float path only up to
-// the weight-quantization error.
+// substitutes precomputed feature rows, never changes an op.
 func (m *Model) inferLogits(g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *BaseContext) *tensor.Matrix {
 	n := len(g.Vertices)
 	dim := m.Cfg.Dim
@@ -467,16 +447,9 @@ func (m *Model) inferLogits(g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *Ba
 	s.logits = ensureMat(s.logits, n, 1)
 	m.features(g, tc, &s.fc, s.x, bc)
 	in, out := s.x, s.h
-	if m.qgcn != nil {
-		for _, q := range m.qgcn {
-			q.Infer(s.rg, in, out, s.agg)
-			in, out = out, in
-		}
-	} else {
-		for _, l := range m.GCN {
-			l.Infer(s.rg, in, out, s.agg)
-			in, out = out, in
-		}
+	for _, l := range m.GCN {
+		l.Infer(s.rg, in, out, s.agg)
+		in, out = out, in
 	}
 	m.Head.Forward(in, s.logits)
 	return s.logits

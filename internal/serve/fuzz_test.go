@@ -9,6 +9,7 @@ import (
 
 	"snowcat/internal/kernel"
 	"snowcat/internal/pic"
+	"snowcat/internal/ski"
 )
 
 // FuzzServeRequest throws arbitrary bytes at the /v1/predict decode path
@@ -75,6 +76,70 @@ func FuzzServeRequest(f *testing.F) {
 				if math.IsNaN(p) || p < 0 || p > 1 {
 					t.Fatalf("graph %d vertex %d: probability %v", i, j, p)
 				}
+			}
+		}
+	})
+}
+
+// FuzzExecRequest throws arbitrary bytes at the /v1/execute_cti decode
+// path and pins the same three properties for execution: malformed input
+// is rejected with ErrBadRequest and never panics; every accepted request
+// survives the canonical encode → decode round trip; and every accepted
+// CTI runs each of its schedules through ski.ExecuteSteps — exactly what
+// the handler does — to a result or an error, never a panic.
+func FuzzExecRequest(f *testing.F) {
+	kcfg := kernel.SmallConfig(3)
+	kcfg.NumIRQs = 2
+	k := kernel.Generate(kcfg)
+	numSyscalls := len(k.Syscalls)
+
+	f.Add([]byte(`{"cti":{"id":1,"a":{"id":1,"calls":[{"syscall":0,"args":[3]}]},` +
+		`"b":{"id":2,"calls":[{"syscall":1}]}},"schedules":[{}]}`))
+	f.Add([]byte(`{"cti":{"id":2,"a":{"calls":[{"syscall":0},{"syscall":2,"args":[-1,7]}]},` +
+		`"b":{"calls":[{"syscall":1}]}},"step_limit":40,"schedules":[` +
+		`{"hints":[{"thread":0,"block":3,"idx":0},{"thread":1,"block":-9,"idx":2}]},` +
+		`{"irqs":[{"thread":1,"block":0,"idx":0,"irq":99}]}]}`))
+	f.Add([]byte(`{"cti":{"a":{"calls":[{"syscall":0}]},"b":{"calls":[{"syscall":0}]}},` +
+		`"schedules":[{"hints":[{"thread":7,"block":0,"idx":0}]}]}`))
+	f.Add([]byte(`{"cti":{"a":{"calls":[{"syscall":0}]},"b":{"calls":[{"syscall":0}]}},"schedules":[]}`))
+	f.Add([]byte(`{"cti":{"a":{"calls":[{"syscall":0}]},"b":{"calls":[{"syscall":0}]}},"step_limit":-1,"schedules":[{}]}`))
+	f.Add([]byte(`{"cti":{"a":{"calls":[{"syscall":99999}]},"b":{"calls":[{"syscall":0}]}},"schedules":[{}]}`))
+	f.Add([]byte(`{"cti":{"a":{"calls":[]},"b":{"calls":[{"syscall":0}]}},"schedules":[{}]}`))
+	f.Add([]byte(`not json`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeExecRequest(data, numSyscalls)
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("rejection not tagged ErrBadRequest: %v", err)
+			}
+			return
+		}
+
+		out, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-marshal of accepted request: %v", err)
+		}
+		again, err := DecodeExecRequest(out, numSyscalls)
+		if err != nil {
+			t.Fatalf("re-decode of %q: %v", out, err)
+		}
+		out2, err := json.Marshal(again)
+		if err != nil {
+			t.Fatalf("re-marshal after round trip: %v", err)
+		}
+		if !bytes.Equal(out, out2) {
+			t.Fatalf("canonical encoding not a fixed point:\n was %s\n now %s", out, out2)
+		}
+
+		cti := req.CTI.CTI()
+		for i, ws := range req.Schedules {
+			res, err := ski.ExecuteSteps(k, cti, ws.Schedule(), req.StepLimit)
+			if (res == nil) == (err == nil) {
+				t.Fatalf("schedule %d: result %v with error %v, want exactly one", i, res, err)
+			}
+			if res != nil && len(res.Covered) != k.NumBlocks() {
+				t.Fatalf("schedule %d: coverage of %d blocks, kernel has %d", i, len(res.Covered), k.NumBlocks())
 			}
 		}
 	})

@@ -42,11 +42,5 @@ type ExecHooks struct {
 // ExecuteHooked is ExecuteSteps with in-run schedule-point hooks. A nil
 // hooks (or nil SchedulePoint) is bit-identical to ExecuteSteps.
 func ExecuteHooked(k *kernel.Kernel, cti CTI, sched Schedule, stepLimit int, hooks *ExecHooks) (*Result, error) {
-	return execute(k, nil, cti, sched, stepLimit, hooks)
-}
-
-// ExecuteCompiledHooked is ExecuteCompiledSteps with in-run schedule-point
-// hooks, the compiled counterpart of ExecuteHooked.
-func ExecuteCompiledHooked(p *sim.Program, cti CTI, sched Schedule, stepLimit int, hooks *ExecHooks) (*Result, error) {
-	return execute(p.Kernel(), p, cti, sched, stepLimit, hooks)
+	return execute(k, cti, sched, stepLimit, hooks)
 }

@@ -17,14 +17,13 @@ import (
 // ownership tests (run under -race by `make test`).
 const ownershipWorkers = 8
 
-// poolCorpus is a kernel with interrupt handlers and family bugs, its
-// compiled program, several CTIs and a mix of hint-only and IRQ schedules
+// poolCorpus is a kernel with interrupt handlers and family bugs, several
+// CTIs and a mix of hint-only and IRQ schedules
 // for each; the last CTIs repeat a family bug's witness three times, so
 // that BugsHit's length is not a power of two and append-built sizing
 // would show.
 type poolCorpus struct {
 	k      *kernel.Kernel
-	p      *sim.Program
 	ctis   []CTI
 	scheds [][]Schedule
 }
@@ -36,7 +35,7 @@ func newPoolCorpus(t *testing.T) *poolCorpus {
 	cfg.NumMissedWakeup = 1
 	cfg.NumDoubleFree = 1
 	k := kernel.Generate(cfg)
-	c := &poolCorpus{k: k, p: sim.Compile(k)}
+	c := &poolCorpus{k: k}
 	gen := syz.NewGenerator(k, 62)
 	for i := 0; i < 6; i++ {
 		cti := CTI{ID: int64(i), A: gen.Generate(), B: gen.Generate()}
@@ -76,20 +75,16 @@ var preemptEvery7 = &ExecHooks{SchedulePoint: func(_ int32, _ sim.InstrRef, step
 	return HookContinue
 }}
 
-// run executes the i-th (CTI, schedule, executor) combination of the
+// run executes the i-th (CTI, schedule, entry point) combination of the
 // corpus, cycling through every Execute* entry point.
 func (c *poolCorpus) run(i int) (*Result, error) {
 	ci := i % len(c.ctis)
 	cti, sched := c.ctis[ci], c.scheds[ci][(i/len(c.ctis))%len(c.scheds[ci])]
-	switch i % 5 {
+	switch i % 3 {
 	case 0:
 		return Execute(c.k, cti, sched)
 	case 1:
-		return ExecuteCompiled(c.p, cti, sched)
-	case 2:
 		return ExecuteHooked(c.k, cti, sched, 0, preemptEvery7)
-	case 3:
-		return ExecuteCompiledHooked(c.p, cti, sched, 0, preemptEvery7)
 	}
 	return ExecuteSteps(c.k, cti, sched, 1<<16)
 }
@@ -99,10 +94,8 @@ func (c *poolCorpus) run(i int) (*Result, error) {
 // pooled execution must reproduce.
 func freshExecute(k *kernel.Kernel, cti CTI, sched Schedule) (*Result, error) {
 	m := sim.NewMachine(k)
-	return runSchedule(k, cti, sched, [2]execThread{
-		sim.NewThread(m, 0, cti.A.Calls),
-		sim.NewThread(m, 1, cti.B.Calls),
-	}, nil, new(scratch))
+	sc := &scratch{t: [2]sim.Thread{*sim.NewThread(m, 0, cti.A.Calls), *sim.NewThread(m, 1, cti.B.Calls)}}
+	return runSchedule(k, cti, sched, nil, sc)
 }
 
 func cloneResult(r *Result) *Result {
@@ -213,14 +206,8 @@ func TestFailedExecutionDoesNotTaintPool(t *testing.T) {
 			if _, err := ExecuteHooked(c.k, bad, sched, 0, nil); !errors.Is(err, sim.ErrBadCall) {
 				return fmt.Errorf("worker %d: bad call: err = %v", w, err)
 			}
-			if _, err := ExecuteCompiled(c.p, bad, sched); !errors.Is(err, sim.ErrBadCall) {
-				return fmt.Errorf("worker %d: compiled bad call: err = %v", w, err)
-			}
 			if _, err := ExecuteSteps(c.k, cti, sched, limit); !errors.Is(err, sim.ErrStepLimit) {
 				return fmt.Errorf("worker %d: step limit: err = %v", w, err)
-			}
-			if _, err := ExecuteCompiledSteps(c.p, cti, sched, limit); !errors.Is(err, sim.ErrStepLimit) {
-				return fmt.Errorf("worker %d: compiled step limit: err = %v", w, err)
 			}
 			got, err := Execute(c.k, cti, sched)
 			if err != nil {
@@ -228,13 +215,6 @@ func TestFailedExecutionDoesNotTaintPool(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				return fmt.Errorf("worker %d round %d: execution after failures diverged from a fresh one", w, round)
-			}
-			got, err = ExecuteCompiled(c.p, cti, sched)
-			if err != nil {
-				return err
-			}
-			if !reflect.DeepEqual(got, want) {
-				return fmt.Errorf("worker %d round %d: compiled execution after failures diverged", w, round)
 			}
 		}
 		return nil
@@ -258,7 +238,7 @@ func TestEmptyAccessesNonNil(t *testing.T) {
 			if i%2 == 0 {
 				r, err = Execute(c.k, empty, Schedule{})
 			} else {
-				r, err = ExecuteCompiledHooked(c.p, empty, Schedule{}, 0, preemptEvery7)
+				r, err = ExecuteHooked(c.k, empty, Schedule{}, 0, preemptEvery7)
 			}
 			if err != nil {
 				return err
@@ -278,7 +258,7 @@ func TestEmptyAccessesNonNil(t *testing.T) {
 
 // TestExecuteAllocCeiling pins the executor's steady-state allocations:
 // the Result, its coverage array and its access array — three per
-// execution whatever the executor, hooks or IRQ injections, since the
+// execution with or without hooks or IRQ injections, since the
 // fixture CTI hits no planted bug. Everything else comes from the pool.
 // The race detector drops pooled items at random, so the count is only
 // pinned without it.
@@ -293,10 +273,8 @@ func TestExecuteAllocCeiling(t *testing.T) {
 	}
 	const want = 3
 	for name, exec := range map[string]func() (*Result, error){
-		"interp":          func() (*Result, error) { return Execute(c.k, cti, sched) },
-		"compiled":        func() (*Result, error) { return ExecuteCompiled(c.p, cti, sched) },
-		"hooked":          func() (*Result, error) { return ExecuteHooked(c.k, cti, sched, 0, preemptEvery7) },
-		"compiled-hooked": func() (*Result, error) { return ExecuteCompiledHooked(c.p, cti, sched, 0, preemptEvery7) },
+		"interp": func() (*Result, error) { return Execute(c.k, cti, sched) },
+		"hooked": func() (*Result, error) { return ExecuteHooked(c.k, cti, sched, 0, preemptEvery7) },
 	} {
 		r, err := exec()
 		if err != nil {

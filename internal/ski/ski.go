@@ -212,40 +212,16 @@ func Execute(k *kernel.Kernel, cti CTI, sched Schedule) (*Result, error) {
 // schedule is validated up front so a corrupted schedule degrades to an
 // ErrBadSchedule-wrapped error instead of an index panic on a pool worker.
 func ExecuteSteps(k *kernel.Kernel, cti CTI, sched Schedule, stepLimit int) (*Result, error) {
-	return execute(k, nil, cti, sched, stepLimit, nil)
-}
-
-// ExecuteCompiled is Execute through the compiled direct-threaded executor:
-// p is the CTI's kernel compiled once with sim.Compile, amortised across
-// every execution of that kernel version. Results are pinned DeepEqual to
-// Execute on all inputs (TestCompiledMatchesInterpreter,
-// FuzzCompiledExecute).
-func ExecuteCompiled(p *sim.Program, cti CTI, sched Schedule) (*Result, error) {
-	return ExecuteCompiledSteps(p, cti, sched, 0)
-}
-
-// ExecuteCompiledSteps is ExecuteCompiled with ExecuteSteps' budget knob.
-func ExecuteCompiledSteps(p *sim.Program, cti CTI, sched Schedule, stepLimit int) (*Result, error) {
-	return execute(p.Kernel(), p, cti, sched, stepLimit, nil)
-}
-
-// execThread is the scheduler's view of a kernel thread; both the
-// reference interpreter (sim.Thread) and the compiled executor
-// (sim.CThread) satisfy it.
-type execThread interface {
-	State() sim.ThreadState
-	Step() (sim.Event, error)
-	InjectIRQ(fn int32)
+	return execute(k, cti, sched, stepLimit, nil)
 }
 
 // scratch is one execution's working state — the machine, both threads
 // with their call stacks, both access logs, the bug log and the pending
 // injections — recycled through scratchPool so that an execution
-// allocates only what its Result keeps. A compiled thread embeds the
-// interpreter's Thread, so the same two threads serve both executors.
+// allocates only what its Result keeps.
 type scratch struct {
 	m    sim.Machine
-	t    [2]sim.CThread
+	t    [2]sim.Thread
 	acc  [2][]syz.Access
 	bugs []int32
 	irqs []IRQHint
@@ -268,9 +244,9 @@ func (sc *scratch) release() {
 }
 
 // execute is the one entry behind every Execute* variant: it validates the
-// schedule, builds the two threads on pooled scratch — interpreted when p
-// is nil, compiled from p otherwise — and runs the scheduler.
-func execute(k *kernel.Kernel, p *sim.Program, cti CTI, sched Schedule, stepLimit int, hooks *ExecHooks) (*Result, error) {
+// schedule, builds the two threads on pooled scratch and runs the
+// scheduler.
+func execute(k *kernel.Kernel, cti CTI, sched Schedule, stepLimit int, hooks *ExecHooks) (*Result, error) {
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
 	}
@@ -279,26 +255,18 @@ func execute(k *kernel.Kernel, p *sim.Program, cti CTI, sched Schedule, stepLimi
 	sc.m.Reset(k)
 	sc.m.Limit = stepLimit
 	sc.acc[0], sc.acc[1], sc.bugs = sc.acc[0][:0], sc.acc[1][:0], sc.bugs[:0]
-	var threads [2]execThread
-	for i, calls := range [2][]sim.Call{cti.A.Calls, cti.B.Calls} {
-		if p == nil {
-			sc.t[i].Thread.Reset(&sc.m, int32(i), calls)
-			threads[i] = &sc.t[i].Thread
-		} else {
-			sc.t[i].Reset(p, &sc.m, int32(i), calls)
-			threads[i] = &sc.t[i]
-		}
-	}
-	return runSchedule(k, cti, sched, threads, hooks, sc)
+	sc.t[0].Reset(&sc.m, 0, cti.A.Calls)
+	sc.t[1].Reset(&sc.m, 1, cti.B.Calls)
+	return runSchedule(k, cti, sched, hooks, sc)
 }
 
-// runSchedule is the executor core shared by the interpreted and compiled
-// paths: the SKI uniprocessor scheduling loop over two pre-built threads.
+// runSchedule is the executor core shared by plain and hooked runs: the
+// SKI uniprocessor scheduling loop over sc's two pre-built threads.
 // hooks may be nil (the pre-planned-hints-only fast path, bit-identical to
 // the pre-hook executor). Accesses and bug hits are recorded into sc's
 // reusable logs and copied into the Result once, exactly sized, when the
 // run completes.
-func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThread, hooks *ExecHooks, sc *scratch) (*Result, error) {
+func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, hooks *ExecHooks, sc *scratch) (*Result, error) {
 	// One backing array holds the union and both per-thread coverages.
 	nb := k.NumBlocks()
 	cov := make([]bool, 3*nb)
@@ -306,6 +274,7 @@ func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThrea
 	res.CoveredBy[0] = cov[nb : 2*nb : 2*nb]
 	res.CoveredBy[1] = cov[2*nb : 3*nb : 3*nb]
 
+	threads := &sc.t
 	hints := sched.Hints
 	sc.irqs = append(sc.irqs[:0], sched.IRQs...)
 	irqs := sc.irqs
@@ -313,20 +282,18 @@ func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThrea
 	globalStep := 0
 
 	// Done-ness is monotone and a thread only finishes during its own Step,
-	// so it is tracked in flags instead of re-querying State() — the
-	// per-step State() calls are the scheduler's hottest interface
-	// dispatches.
+	// so it is tracked in flags instead of re-querying State() on every
+	// hint check.
 	var done [2]bool
 	done[0] = threads[0].State() == sim.Done
 	done[1] = threads[1].State() == sim.Done
 
 	for {
-		t := threads[cur]
+		t := &threads[cur]
 		switch t.State() {
 		case sim.Done, sim.BlockedOnLock:
 			other := 1 - cur
-			o := threads[other]
-			if o.State() == sim.Runnable {
+			if threads[other].State() == sim.Runnable {
 				cur = other
 				res.Switches++
 				continue
