@@ -17,6 +17,10 @@ import (
 // the fresh-campaign case, not a failure.
 var ErrNoCheckpoint = errors.New("fleet: no checkpoint")
 
+// ErrBadCheckpoint reports a checkpoint file that exists but does not
+// decode: truncated, corrupted, or written in another format version.
+var ErrBadCheckpoint = errors.New("fleet: bad checkpoint")
+
 // checkpointMagic versions the on-disk format; bump on layout changes so
 // a stale file fails loudly instead of restoring garbage.
 const checkpointMagic = "snowcat-fleet-checkpoint-v1"
@@ -46,8 +50,9 @@ type Checkpoint struct {
 }
 
 // SaveCheckpoint atomically writes ck to path: a temp file in the same
-// directory, synced, then renamed over the target — a crash mid-save
-// leaves the previous checkpoint intact.
+// directory, synced, then renamed over the target, then the directory
+// synced — a crash mid-save leaves the previous checkpoint intact, and
+// once SaveCheckpoint returns the new one survives a crash too.
 func SaveCheckpoint(path string, ck *Checkpoint) error {
 	ck.Magic = checkpointMagic
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".checkpoint-*")
@@ -69,11 +74,22 @@ func SaveCheckpoint(path string, ck *Checkpoint) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("fleet: checkpoint rename: %w", err)
 	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("fleet: checkpoint dir sync: %w", err)
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("fleet: checkpoint dir sync: %w", err)
+	}
 	return nil
 }
 
 // LoadCheckpoint reads a checkpoint; ErrNoCheckpoint when the file does
-// not exist.
+// not exist, ErrBadCheckpoint when it does not decode.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -85,10 +101,10 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	defer f.Close()
 	var ck Checkpoint
 	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint decode: %w", err)
+		return nil, fmt.Errorf("%w: decode: %w", ErrBadCheckpoint, err)
 	}
 	if ck.Magic != checkpointMagic {
-		return nil, fmt.Errorf("fleet: checkpoint magic %q, want %q", ck.Magic, checkpointMagic)
+		return nil, fmt.Errorf("%w: magic %q, want %q", ErrBadCheckpoint, ck.Magic, checkpointMagic)
 	}
 	return &ck, nil
 }

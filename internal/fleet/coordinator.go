@@ -115,9 +115,9 @@ func (co *Coordinator) Run() (*campaign.History, error) {
 
 		// The round's rollback point: the in-memory twin of the checkpoint.
 		foldSnap := fold.State()
-		stratSnap, haveStrat := strategy.State{}, false
+		var stratSnap strategy.State
 		if c.Strat != nil {
-			stratSnap, haveStrat = strategy.Save(c.Strat)
+			stratSnap = c.Strat.Save()
 		}
 		var resSnap explore.ResilienceState
 		if c.Resilience != nil {
@@ -150,8 +150,8 @@ func (co *Coordinator) Run() (*campaign.History, error) {
 			if rerr := fold.RestoreState(foldSnap); rerr != nil {
 				return nil, fmt.Errorf("fleet: round %d rollback: %w", round, rerr)
 			}
-			if haveStrat {
-				if rerr := strategy.Load(c.Strat, stratSnap); rerr != nil {
+			if c.Strat != nil {
+				if rerr := c.Strat.Load(stratSnap); rerr != nil {
 					return nil, fmt.Errorf("fleet: round %d rollback: %w", round, rerr)
 				}
 			}
@@ -172,9 +172,8 @@ func (co *Coordinator) Run() (*campaign.History, error) {
 				Fold:      fold.State(),
 			}
 			if c.Strat != nil {
-				if st, ok := strategy.Save(c.Strat); ok {
-					ck.Strategy = &st
-				}
+				st := c.Strat.Save()
+				ck.Strategy = &st
 			}
 			if c.Resilience != nil {
 				st := c.Resilience.State()
@@ -213,7 +212,7 @@ func (co *Coordinator) resume(ck *Checkpoint, fold *campaign.Fold, c campaign.Co
 		if c.Strat == nil {
 			return fmt.Errorf("fleet: checkpoint carries strategy state but campaign has no strategy")
 		}
-		if err := strategy.Load(c.Strat, *ck.Strategy); err != nil {
+		if err := c.Strat.Load(*ck.Strategy); err != nil {
 			return err
 		}
 	}

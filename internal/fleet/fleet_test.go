@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -442,6 +445,29 @@ func TestCheckpointFileGuards(t *testing.T) {
 	}
 	if got.Name != "c" || got.Seed != 1 || got.NumCTIs != 2 || got.NextRound != 1 {
 		t.Fatalf("round-trip mangled checkpoint: %+v", got)
+	}
+
+	// A truncated file and a file of another format version are typed
+	// errors, not a panic or a silently wrong checkpoint.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("truncated file: err=%v, want ErrBadCheckpoint", err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&Checkpoint{Magic: "snowcat-fleet-checkpoint-v0"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("foreign magic: err=%v, want ErrBadCheckpoint", err)
 	}
 }
 

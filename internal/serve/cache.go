@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
-
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/pic"
 )
@@ -18,64 +15,32 @@ type cacheKey struct {
 	base *ctgraph.Base
 }
 
-// cacheEntry is one LRU node.
-type cacheEntry struct {
-	key cacheKey
-	bc  *pic.BaseContext
-}
-
 // BaseCache is a bounded LRU of per-CTI pic.BaseContexts. A context
 // amortises the schedule-independent feature rows (encoder + vertex-type
 // embedding per vertex) across every candidate schedule of one CTI —
 // exactly the work the paper's 190:1 triage ratio depends on keeping off
 // the per-request path. Contexts are immutable and shared by all scoring
-// workers; the cache only guards the index. Misses build the context
-// under the lock, which also deduplicates concurrent misses for the same
-// key (the second caller hits).
+// workers. Misses build the context under the lock, which also
+// deduplicates concurrent misses for the same key (the second caller hits).
 type BaseCache struct {
-	mu        sync.Mutex
-	capacity  int
-	lru       *list.List // of *cacheEntry, front = most recent
-	idx       map[cacheKey]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	lru[cacheKey, *pic.BaseContext]
 }
 
 // NewBaseCache returns an empty cache holding at most capacity contexts
 // (capacity <= 0 selects 64).
 func NewBaseCache(capacity int) *BaseCache {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &BaseCache{
-		capacity: capacity,
-		lru:      list.New(),
-		idx:      make(map[cacheKey]*list.Element),
-	}
+	c := &BaseCache{}
+	c.init(capacity)
+	return c
 }
 
 // Get returns the BaseContext of (snap, base), building and inserting it
 // on a miss. base must be non-nil; callers with base-less graphs (e.g.
 // restored from gob) skip the cache and predict without a context.
 func (c *BaseCache) Get(snap *Snapshot, base *ctgraph.Base) *pic.BaseContext {
-	key := cacheKey{snap: snap, base: base}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.idx[key]; ok {
-		c.hits++
-		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).bc
-	}
-	c.misses++
-	bc := snap.Model.NewBaseContext(base, snap.TC)
-	c.idx[key] = c.lru.PushFront(&cacheEntry{key: key, bc: bc})
-	for c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.idx, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
+	bc, _ := c.get(cacheKey{snap: snap, base: base}, nil, func() (*pic.BaseContext, error) {
+		return snap.Model.NewBaseContext(base, snap.TC), nil
+	})
 	return bc
 }
 
@@ -85,32 +50,5 @@ func (c *BaseCache) Get(snap *Snapshot, base *ctgraph.Base) *pic.BaseContext {
 // matrices). Returns how many entries were dropped; they are counted as
 // evictions.
 func (c *BaseCache) Invalidate(snap *Snapshot) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*cacheEntry); e.key.snap == snap {
-			c.lru.Remove(el)
-			delete(c.idx, e.key)
-			c.evictions++
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
-// Len returns the current entry count.
-func (c *BaseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// Counters returns the cumulative hit/miss/eviction counts.
-func (c *BaseCache) Counters() (hits, misses, evictions uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
+	return c.drop(func(k cacheKey) bool { return k.snap == snap })
 }

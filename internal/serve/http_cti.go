@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"snowcat/internal/ctgraph"
 	"snowcat/internal/sim"
 	"snowcat/internal/ski"
 	"snowcat/internal/syz"
@@ -183,19 +182,14 @@ func (s *Server) handlePredictCTI(w http.ResponseWriter, r *http.Request) {
 	for i, ws := range req.Schedules {
 		scheds[i] = ws.Schedule()
 	}
-	e, err := s.station.Entry(cti)
+	sreq, err := s.ctiRequest(cti, scheds)
 	if err != nil {
-		s.stats.errors.Add(1)
 		writeError(w, statusOf(err), err)
 		return
 	}
-	sreq := &Request{Model: req.Model, Wait: true}
+	sreq.Model, sreq.Wait = req.Model, true
 	if req.DeadlineMS > 0 {
 		sreq.Deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-	}
-	sreq.Graphs = make([]*ctgraph.Graph, len(scheds))
-	for i, sched := range scheds {
-		sreq.Graphs[i] = e.base.WithSchedule(sched)
 	}
 	resp, err := s.Predict(r.Context(), sreq)
 	if err != nil {

@@ -42,40 +42,31 @@ var (
 // Snapshot is one immutable registered model version: the gob-loaded (and
 // Rebind-ed) pic.Model plus the kernel token cache it predicts with. Both
 // are read-only during inference, so any number of scoring workers share a
-// snapshot; its pointer identity keys the BaseContext cache.
+// snapshot; its pointer identity keys the BaseContext cache. A batch holds
+// the pointer for its whole scoring, which keeps the weights alive even if
+// the version is unloaded meanwhile.
 type Snapshot struct {
 	Version string
 	Model   *pic.Model
 	TC      *pic.TokenCache
 }
 
-// entry pairs a snapshot with its in-flight reference count. A batch holds
-// a reference for exactly the duration of its scoring, so Unload can drain
-// an old version before releasing it.
-type entry struct {
-	snap *Snapshot
-	refs int
-}
-
 // Registry holds the versioned model snapshots and the active-version
-// pointer. Activation is atomic with respect to Acquire: a batch sees
+// pointer. Activation is atomic with respect to Active: a batch sees
 // either the old or the new snapshot in full, never a mix, and every
 // response carries the version that actually scored it. All methods are
 // safe for concurrent use.
 type Registry struct {
-	mu      sync.Mutex
-	drained *sync.Cond // signalled when any entry's refcount hits zero
-	models  map[string]*entry
-	order   []string // load order, for stable listings
-	active  *entry
-	blocks  int // token-cache length every snapshot must match; 0 until first Load
+	mu     sync.Mutex
+	models map[string]*Snapshot
+	order  []string // load order, for stable listings
+	active *Snapshot
+	blocks int // token-cache length every snapshot must match; 0 until first Load
 }
 
 // NewRegistry returns an empty registry with no active model.
 func NewRegistry() *Registry {
-	r := &Registry{models: make(map[string]*entry)}
-	r.drained = sync.NewCond(&r.mu)
-	return r
+	return &Registry{models: make(map[string]*Snapshot)}
 }
 
 // Load registers a model under a fresh version without activating it. The
@@ -98,7 +89,7 @@ func (r *Registry) Load(version string, m *pic.Model, tc *pic.TokenCache) error 
 		return fmt.Errorf("%w: version %q covers %d blocks, registry serves %d",
 			ErrKernelMismatch, version, len(tc.IDs), r.blocks)
 	}
-	r.models[version] = &entry{snap: &Snapshot{Version: version, Model: m, TC: tc}}
+	r.models[version] = &Snapshot{Version: version, Model: m, TC: tc}
 	r.order = append(r.order, version)
 	return nil
 }
@@ -117,20 +108,17 @@ func (r *Registry) LoadEncoded(version string, data []byte, tokenCache func(m *p
 
 // Activate atomically makes version the serving model and returns the
 // previously active snapshot (nil when this is the first activation).
-// In-flight batches keep scoring against the snapshot they acquired; new
+// In-flight batches keep scoring against the snapshot they read; new
 // batches see the new version.
 func (r *Registry) Activate(version string) (*Snapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.models[version]
+	snap, ok := r.models[version]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, version)
 	}
-	var old *Snapshot
-	if r.active != nil {
-		old = r.active.snap
-	}
-	r.active = e
+	old := r.active
+	r.active = snap
 	return old, nil
 }
 
@@ -138,63 +126,29 @@ func (r *Registry) Activate(version string) (*Snapshot, error) {
 func (r *Registry) Active() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.active == nil {
-		return nil
-	}
-	return r.active.snap
+	return r.active
 }
 
-// Acquire pins the active snapshot for the duration of one batch: the
-// returned release must be called exactly once when scoring finishes.
-// Unload of that version blocks until every acquired reference is
-// released, so a hot-swap never yanks parameters out from under a batch.
-func (r *Registry) Acquire() (*Snapshot, func(), error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.active == nil {
-		return nil, nil, ErrNoModel
-	}
-	e := r.active
-	e.refs++
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			r.mu.Lock()
-			e.refs--
-			if e.refs == 0 {
-				r.drained.Broadcast()
-			}
-			r.mu.Unlock()
-		})
-	}
-	return e.snap, release, nil
-}
-
-// Unload removes a non-active version, blocking until its in-flight
-// references drain — the release half of a hot-swap (Activate the new
-// version, then Unload the old one once its last batch completes).
+// Unload removes a non-active version — the release half of a hot-swap
+// (Activate the new version, then Unload the old one). It does not wait:
+// batches already scoring on the old snapshot hold its pointer and finish
+// on it, and no new batch can pick it up.
 func (r *Registry) Unload(version string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.models[version]
+	snap, ok := r.models[version]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownModel, version)
 	}
-	if r.active == e {
+	if r.active == snap {
 		return fmt.Errorf("%w: %q", ErrModelActive, version)
 	}
-	// Remove from the index first so listings stop showing the version,
-	// then wait out the in-flight batches (no new ones can start: Acquire
-	// only hands out the active snapshot).
 	delete(r.models, version)
 	for i, v := range r.order {
 		if v == version {
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			break
 		}
-	}
-	for e.refs > 0 {
-		r.drained.Wait()
 	}
 	return nil
 }
@@ -213,12 +167,12 @@ func (r *Registry) List() []ModelInfo {
 	defer r.mu.Unlock()
 	out := make([]ModelInfo, 0, len(r.order))
 	for _, v := range r.order {
-		e := r.models[v]
+		snap := r.models[v]
 		out = append(out, ModelInfo{
 			Version:   v,
-			Active:    r.active == e,
-			Params:    e.snap.Model.NumParams(),
-			Threshold: e.snap.Model.Threshold,
+			Active:    r.active == snap,
+			Params:    snap.Model.NumParams(),
+			Threshold: snap.Model.Threshold,
 		})
 	}
 	return out

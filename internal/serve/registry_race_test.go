@@ -13,9 +13,9 @@ import (
 
 // The swap-under-load contract, checked under -race: while a writer rolls
 // new versions through the registry in a tight loop — load, activate,
-// unload the retired version behind the drain — concurrent readers
-// acquire snapshots and every one of them must be exactly one registered
-// version, never a mix and never a dropped response. Version identity is
+// unload the retired version — concurrent readers take the active
+// snapshot and every one of them must be exactly one registered version,
+// never a mix and never a dropped response. Version identity is
 // checked two ways: pointer identity against the table of models the
 // writer registered, and the per-version threshold stamped into each
 // model before it was loaded.
@@ -25,7 +25,7 @@ func TestRegistrySwapUnderLoad(t *testing.T) {
 
 	// table maps version -> the exact *pic.Model registered under it.
 	// Entries are recorded before Load and never removed, so a reader
-	// holding a drained snapshot still finds its version.
+	// holding an unloaded snapshot still finds its version.
 	var table sync.Map
 	mkVersion := func(i int) (string, *pic.Model, *pic.TokenCache) {
 		m, tc := tinyModel(k, uint64(100+i))
@@ -58,38 +58,34 @@ func TestRegistrySwapUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				snap, release, err := reg.Acquire()
-				if err != nil {
-					errc <- fmt.Errorf("reader: %w", err)
+				snap := reg.Active()
+				if snap == nil {
+					errc <- fmt.Errorf("reader: %w", ErrNoModel)
 					return
 				}
 				want, ok := table.Load(snap.Version)
 				if !ok {
-					release()
 					errc <- fmt.Errorf("reader: acquired unregistered version %q", snap.Version)
 					return
 				}
 				wm := want.(*pic.Model)
 				if snap.Model != wm {
-					release()
 					errc <- fmt.Errorf("reader: version %q served a foreign model", snap.Version)
 					return
 				}
 				if snap.Model.Threshold != wm.Threshold {
-					release()
 					errc <- fmt.Errorf("reader: version %q threshold %v, want %v",
 						snap.Version, snap.Model.Threshold, wm.Threshold)
 					return
 				}
 				responses.Add(1)
-				release()
 			}
 		}()
 	}
 
 	// The writer: roll versions v2..v41 through, retiring each version
-	// two activations after it stopped being current. Unload blocks until
-	// readers drain their references — the drain path under load.
+	// two activations after it stopped being current, while readers may
+	// still hold its snapshot — the unload path under load.
 	go func() {
 		defer done.Store(true)
 		for i := 1; i < versions; i++ {

@@ -259,8 +259,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 			}
 		}(c)
 	}
-	// Swap mid-flight, then retire v1 (Unload blocks until its in-flight
-	// batches drain).
+	// Swap mid-flight, then retire v1 (batches already scoring on it keep
+	// their snapshot and finish).
 	time.Sleep(2 * time.Millisecond)
 	if err := s.Swap("v2"); err != nil {
 		t.Fatal(err)
@@ -425,8 +425,9 @@ func TestGracefulDrain(t *testing.T) {
 func TestRegistryRefusesMismatches(t *testing.T) {
 	f := newFixture(t, 601, 1, 1)
 	reg := NewRegistry()
-	if _, _, err := reg.Acquire(); !errors.Is(err, ErrNoModel) {
-		t.Fatalf("Acquire on empty registry: %v", err)
+	empty := New(reg, Config{Sync: true})
+	if _, err := empty.Predict(context.Background(), &Request{Graphs: f.graphs[:1]}); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("predict on empty registry: %v", err)
 	}
 	if err := reg.Load("v1", f.model, f.tc); err != nil {
 		t.Fatal(err)
@@ -448,46 +449,6 @@ func TestRegistryRefusesMismatches(t *testing.T) {
 	m2, tc2 := tinyModel(k2, 78)
 	if err := reg.Load("other-kernel", m2, tc2); !errors.Is(err, ErrKernelMismatch) {
 		t.Fatalf("cross-kernel load: %v", err)
-	}
-}
-
-// TestRegistryUnloadDrains pins the drain contract: Unload of a retired
-// version blocks until the last acquired reference is released.
-func TestRegistryUnloadDrains(t *testing.T) {
-	f := newFixture(t, 701, 1, 1)
-	reg := NewRegistry()
-	for _, v := range []string{"v1", "v2"} {
-		if err := reg.Load(v, f.model, f.tc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := reg.Activate("v1"); err != nil {
-		t.Fatal(err)
-	}
-	_, release, err := reg.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Activate("v2"); err != nil {
-		t.Fatal(err)
-	}
-	unloaded := make(chan struct{})
-	go func() {
-		if err := reg.Unload("v1"); err != nil {
-			t.Error(err)
-		}
-		close(unloaded)
-	}()
-	select {
-	case <-unloaded:
-		t.Fatal("Unload returned while a reference was still held")
-	case <-time.After(10 * time.Millisecond):
-	}
-	release()
-	select {
-	case <-unloaded:
-	case <-time.After(time.Second):
-		t.Fatal("Unload did not return after the last release")
 	}
 }
 

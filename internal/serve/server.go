@@ -187,8 +187,9 @@ func (s *Server) Cache() *BaseCache { return s.cache }
 // Swap activates version and invalidates the old snapshot's cached
 // BaseContexts — the hot-swap entry point. In-flight batches finish on
 // the old snapshot (their responses carry its version); callers that want
-// the old weights released call Registry().Unload(old) afterwards, which
-// blocks until the last such batch drains.
+// the old version gone from the registry call Registry().Unload(old)
+// afterwards, which returns at once — each in-flight batch holds its own
+// snapshot pointer, so the old weights stay alive until the last one ends.
 func (s *Server) Swap(version string) error {
 	old, err := s.reg.Activate(version)
 	if err != nil {
@@ -417,15 +418,14 @@ func (s *Server) gatherNoWait(first *pending) []*pending {
 // replies to every member. Expired or version-mismatched members are
 // rejected without scoring; the rest share one inference fan-out.
 func (s *Server) runBatch(batch []*pending) {
-	snap, release, err := s.reg.Acquire()
-	if err != nil {
+	snap := s.reg.Active()
+	if snap == nil {
 		for _, p := range batch {
 			s.stats.errors.Add(1)
-			p.reply <- result{err: err}
+			p.reply <- result{err: ErrNoModel}
 		}
 		return
 	}
-	defer release()
 
 	now := time.Now()
 	live := batch[:0]
@@ -485,12 +485,11 @@ func (s *Server) runBatch(batch []*pending) {
 // snapshot. scratches == nil allocates fresh arenas (concurrent sync
 // callers must not share them).
 func (s *Server) serveOne(req *Request, scratches []*pic.Scratch) (*Response, error) {
-	snap, release, err := s.reg.Acquire()
-	if err != nil {
+	snap := s.reg.Active()
+	if snap == nil {
 		s.stats.errors.Add(1)
-		return nil, err
+		return nil, ErrNoModel
 	}
-	defer release()
 	if !req.Deadline.IsZero() && time.Now().After(req.Deadline) {
 		s.stats.expired.Add(1)
 		return nil, ErrDeadline

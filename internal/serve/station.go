@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"sync"
 
 	"snowcat/internal/cfg"
 	"snowcat/internal/ctgraph"
@@ -18,8 +16,9 @@ import (
 // graphs, not raw (CTI, schedule) work.
 var ErrNoStation = fmt.Errorf("%w: server has no CTI station (Config.Kernel unset)", ErrBadRequest)
 
-// stationEntry is the shard-local state of one CTI: the STI profiles and
-// the schedule-independent base graph. Reconstructing it is the expensive
+// stationEntry is the shard-local state of one CTI: the
+// schedule-independent base graph built from its STI profiles.
+// Reconstructing it is the expensive
 // part of scoring a CTI the shard has never seen — two sequential profile
 // runs plus the base-graph build cost several predictions' worth of time —
 // which is exactly why the fleet routes CTIs consistently: a shard that
@@ -27,8 +26,6 @@ var ErrNoStation = fmt.Errorf("%w: server has no CTI station (Config.Kernel unse
 // request.
 type stationEntry struct {
 	a, b int64 // STI IDs, to catch CTI-ID reuse with different programs
-	pa   *syz.Profile
-	pb   *syz.Profile
 	base *ctgraph.Base
 }
 
@@ -44,34 +41,15 @@ type stationEntry struct {
 type CTIStation struct {
 	k       *kernel.Kernel
 	builder *ctgraph.Builder
-
-	mu        sync.Mutex
-	capacity  int
-	lru       *list.List // of *stationNode, front = most recent
-	idx       map[int64]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-type stationNode struct {
-	id    int64
-	entry *stationEntry
+	lru[int64, *stationEntry]
 }
 
 // NewCTIStation returns an empty station over kernel k holding at most
 // capacity CTIs (capacity <= 0 selects 64).
 func NewCTIStation(k *kernel.Kernel, capacity int) *CTIStation {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &CTIStation{
-		k:        k,
-		builder:  ctgraph.NewBuilder(k, cfg.Build(k)),
-		capacity: capacity,
-		lru:      list.New(),
-		idx:      make(map[int64]*list.Element),
-	}
+	st := &CTIStation{k: k, builder: ctgraph.NewBuilder(k, cfg.Build(k))}
+	st.init(capacity)
+	return st
 }
 
 // Entry returns the shard state of cti, profiling its STIs and building
@@ -81,56 +59,18 @@ func (st *CTIStation) Entry(cti ski.CTI) (*stationEntry, error) {
 	if cti.A == nil || cti.B == nil {
 		return nil, fmt.Errorf("%w: CTI %d has nil STIs", ErrBadRequest, cti.ID)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if el, ok := st.idx[cti.ID]; ok {
-		e := el.Value.(*stationNode).entry
-		if e.a == cti.A.ID && e.b == cti.B.ID {
-			st.hits++
-			st.lru.MoveToFront(el)
-			return e, nil
+	fresh := func(e *stationEntry) bool { return e.a == cti.A.ID && e.b == cti.B.ID }
+	return st.get(cti.ID, fresh, func() (*stationEntry, error) {
+		pa, err := syz.Run(st.k, cti.A)
+		if err != nil {
+			return nil, fmt.Errorf("serve: station profile of sti%d: %w", cti.A.ID, err)
 		}
-		// Same ID, different programs: drop the stale entry and rebuild.
-		st.lru.Remove(el)
-		delete(st.idx, cti.ID)
-		st.evictions++
-	}
-	st.misses++
-	pa, err := syz.Run(st.k, cti.A)
-	if err != nil {
-		return nil, fmt.Errorf("serve: station profile of sti%d: %w", cti.A.ID, err)
-	}
-	pb, err := syz.Run(st.k, cti.B)
-	if err != nil {
-		return nil, fmt.Errorf("serve: station profile of sti%d: %w", cti.B.ID, err)
-	}
-	e := &stationEntry{
-		a: cti.A.ID, b: cti.B.ID,
-		pa: pa, pb: pb,
-		base: st.builder.BuildBase(cti, pa, pb),
-	}
-	st.idx[cti.ID] = st.lru.PushFront(&stationNode{id: cti.ID, entry: e})
-	for st.lru.Len() > st.capacity {
-		oldest := st.lru.Back()
-		st.lru.Remove(oldest)
-		delete(st.idx, oldest.Value.(*stationNode).id)
-		st.evictions++
-	}
-	return e, nil
-}
-
-// Len returns the current entry count.
-func (st *CTIStation) Len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.lru.Len()
-}
-
-// Counters returns the cumulative hit/miss/eviction counts.
-func (st *CTIStation) Counters() (hits, misses, evictions uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.hits, st.misses, st.evictions
+		pb, err := syz.Run(st.k, cti.B)
+		if err != nil {
+			return nil, fmt.Errorf("serve: station profile of sti%d: %w", cti.B.ID, err)
+		}
+		return &stationEntry{a: cti.A.ID, b: cti.B.ID, base: st.builder.BuildBase(cti, pa, pb)}, nil
+	})
 }
 
 // Station returns the server's CTI station, or nil when the server was
@@ -150,6 +90,17 @@ func (s *Server) PredictCTI(ctx context.Context, cti ski.CTI, scheds []ski.Sched
 	if len(scheds) == 0 {
 		return nil, fmt.Errorf("%w: no schedules", ErrBadRequest)
 	}
+	req, err := s.ctiRequest(cti, scheds)
+	if err != nil {
+		return nil, err
+	}
+	req.Wait = wait
+	return s.Predict(ctx, req)
+}
+
+// ctiRequest builds the graph request scoring scheds of cti from the
+// station entry (profiling and building the base on a miss).
+func (s *Server) ctiRequest(cti ski.CTI, scheds []ski.Schedule) (*Request, error) {
 	e, err := s.station.Entry(cti)
 	if err != nil {
 		s.stats.errors.Add(1)
@@ -159,5 +110,5 @@ func (s *Server) PredictCTI(ctx context.Context, cti ski.CTI, scheds []ski.Sched
 	for i, sched := range scheds {
 		gs[i] = e.base.WithSchedule(sched)
 	}
-	return s.Predict(ctx, &Request{Graphs: gs, Wait: wait})
+	return &Request{Graphs: gs}, nil
 }

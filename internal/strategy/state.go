@@ -18,34 +18,10 @@ type State struct {
 	Bitmaps []uint64 `json:",omitempty"`
 	// Blocks holds S2's seen predicted-positive blocks.
 	Blocks []int32 `json:",omitempty"`
-	// Trials holds S3's per-block attempt counts, index-aligned pairs.
+	// Trials holds S3's (or S4's) per-block attempt counts, index-aligned
+	// pairs.
 	TrialBlocks []int32 `json:",omitempty"`
 	TrialCounts []int   `json:",omitempty"`
-}
-
-// Snapshotter is implemented by strategies whose memory can be saved and
-// restored — all three built-ins. Save never mutates; Load replaces the
-// memory wholesale.
-type Snapshotter interface {
-	Save() State
-	Load(State) error
-}
-
-// Save captures s's memory if it supports snapshotting; ok is false for
-// strategies without one (their memory is lost across a restore).
-func Save(s Strategy) (State, bool) {
-	if sn, ok := s.(Snapshotter); ok {
-		return sn.Save(), true
-	}
-	return State{}, false
-}
-
-// Load restores a snapshot into s; a no-op for non-snapshotting strategies.
-func Load(s Strategy, st State) error {
-	if sn, ok := s.(Snapshotter); ok {
-		return sn.Load(st)
-	}
-	return nil
 }
 
 func (s *S1) Save() State {
@@ -88,60 +64,40 @@ func (s *S2) Load(st State) error {
 	return nil
 }
 
-func (s *S3) Save() State {
-	st := State{Name: s.Name(), TrialBlocks: make([]int32, 0, len(s.trials))}
-	for b := range s.trials {
-		st.TrialBlocks = append(st.TrialBlocks, b)
-	}
-	sort.Slice(st.TrialBlocks, func(i, j int) bool { return st.TrialBlocks[i] < st.TrialBlocks[j] })
-	st.TrialCounts = make([]int, len(st.TrialBlocks))
-	for i, b := range st.TrialBlocks {
-		st.TrialCounts[i] = s.trials[b]
-	}
-	return st
-}
-
-func (s *S3) Load(st State) error {
-	if err := checkName(st, s.Name()); err != nil {
-		return err
-	}
-	if len(st.TrialBlocks) != len(st.TrialCounts) {
-		return fmt.Errorf("strategy: S3 snapshot with %d blocks but %d counts",
-			len(st.TrialBlocks), len(st.TrialCounts))
-	}
-	s.trials = make(map[int32]int, len(st.TrialBlocks))
-	for i, b := range st.TrialBlocks {
-		s.trials[b] = st.TrialCounts[i]
-	}
-	return nil
-}
+func (s *S3) Save() State         { return saveTrials(s.Name(), s.trials) }
+func (s *S3) Load(st State) error { return loadTrials(st, s.Name(), &s.trials) }
 
 // S4's memory is per-block uncertain-trial counts — the same shape as
 // S3's, reusing the Trial* snapshot fields (Name disambiguates on Load).
-func (s *S4) Save() State {
-	st := State{Name: s.Name(), TrialBlocks: make([]int32, 0, len(s.trials))}
-	for b := range s.trials {
+func (s *S4) Save() State         { return saveTrials(s.Name(), s.trials) }
+func (s *S4) Load(st State) error { return loadTrials(st, s.Name(), &s.trials) }
+
+// saveTrials snapshots a per-block trial-count memory, sorted by block.
+func saveTrials(name string, trials map[int32]int) State {
+	st := State{Name: name, TrialBlocks: make([]int32, 0, len(trials))}
+	for b := range trials {
 		st.TrialBlocks = append(st.TrialBlocks, b)
 	}
 	sort.Slice(st.TrialBlocks, func(i, j int) bool { return st.TrialBlocks[i] < st.TrialBlocks[j] })
 	st.TrialCounts = make([]int, len(st.TrialBlocks))
 	for i, b := range st.TrialBlocks {
-		st.TrialCounts[i] = s.trials[b]
+		st.TrialCounts[i] = trials[b]
 	}
 	return st
 }
 
-func (s *S4) Load(st State) error {
-	if err := checkName(st, s.Name()); err != nil {
+// loadTrials replaces *trials with the snapshot's counts.
+func loadTrials(st State, name string, trials *map[int32]int) error {
+	if err := checkName(st, name); err != nil {
 		return err
 	}
 	if len(st.TrialBlocks) != len(st.TrialCounts) {
-		return fmt.Errorf("strategy: S4 snapshot with %d blocks but %d counts",
-			len(st.TrialBlocks), len(st.TrialCounts))
+		return fmt.Errorf("strategy: %s snapshot with %d blocks but %d counts",
+			name, len(st.TrialBlocks), len(st.TrialCounts))
 	}
-	s.trials = make(map[int32]int, len(st.TrialBlocks))
+	*trials = make(map[int32]int, len(st.TrialBlocks))
 	for i, b := range st.TrialBlocks {
-		s.trials[b] = st.TrialCounts[i]
+		(*trials)[b] = st.TrialCounts[i]
 	}
 	return nil
 }

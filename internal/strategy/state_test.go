@@ -41,11 +41,8 @@ func TestStateRoundTrip(t *testing.T) {
 		for i, g := range gs[:3] {
 			Select(orig, g, statePred(g, i))
 		}
-		st, ok := Save(orig)
-		if !ok {
-			t.Fatalf("%s: not snapshottable", orig.Name())
-		}
-		if err := Load(restored, st); err != nil {
+		st := orig.Save()
+		if err := restored.Load(st); err != nil {
 			t.Fatalf("%s: load: %v", orig.Name(), err)
 		}
 		// The rest of the stream must decide identically on both.
@@ -57,9 +54,7 @@ func TestStateRoundTrip(t *testing.T) {
 			}
 		}
 		// Snapshots of equal memories are deeply equal (sorted encoding).
-		sa, _ := Save(orig)
-		sb, _ := Save(restored)
-		if !reflect.DeepEqual(sa, sb) {
+		if !reflect.DeepEqual(orig.Save(), restored.Save()) {
 			t.Fatalf("%s: snapshots of equal memories differ", orig.Name())
 		}
 	}
@@ -68,11 +63,10 @@ func TestStateRoundTrip(t *testing.T) {
 // TestStateRejectsMismatch pins that a snapshot cannot be loaded into a
 // different strategy kind.
 func TestStateRejectsMismatch(t *testing.T) {
-	st, _ := Save(NewS1())
-	if err := Load(NewS2(), st); err == nil {
+	if err := NewS2().Load(NewS1().Save()); err == nil {
 		t.Fatal("S2 accepted an S1 snapshot")
 	}
-	if err := Load(NewS3(2), State{Name: "S3(limit=2)", TrialBlocks: []int32{1}}); err == nil {
+	if err := NewS3(2).Load(State{Name: "S3(limit=2)", TrialBlocks: []int32{1}}); err == nil {
 		t.Fatal("S3 accepted a snapshot with mismatched trial arrays")
 	}
 }

@@ -48,6 +48,12 @@ type Strategy interface {
 	Name() string
 	// Reset clears the memory.
 	Reset()
+	// Save snapshots the memory without mutating it, for a campaign
+	// checkpoint or a round rollback.
+	Save() State
+	// Load replaces the memory wholesale with a snapshot of the same
+	// strategy kind.
+	Load(State) error
 }
 
 // Select is the common check-then-record step: it commits and returns true

@@ -97,12 +97,8 @@ func TestS4StateRoundTrip(t *testing.T) {
 	s := NewS4(0.2)
 	g := graphWithBlocks(1, 2)
 	Select(s, g, scored(0.5, 0.5, 0.51))
-	st, ok := Save(s)
-	if !ok {
-		t.Fatal("S4 is not a Snapshotter")
-	}
 	s2 := NewS4(0.2)
-	if err := Load(s2, st); err != nil {
+	if err := s2.Load(s.Save()); err != nil {
 		t.Fatal(err)
 	}
 	if s2.trials[1] != 1 || s2.trials[2] != 1 {

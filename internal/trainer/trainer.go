@@ -6,11 +6,11 @@
 // immutable version into a serving target — a serve.Server's registry or
 // a whole fleet — under live traffic.
 //
-// Version consistency during a rollout is the serve registry's refcount
+// Version consistency during a rollout is the serve registry's snapshot
 // contract, not the trainer's: the trainer only ever publishes a *clone*
 // of its live training copy (the weights it keeps stepping are never the
 // weights anyone serves), the registry activates the clone atomically,
-// and in-flight batches finish on whatever snapshot they acquired. See
+// and in-flight batches finish on whatever snapshot they read. See
 // DESIGN.md §13 for the full argument.
 package trainer
 
