@@ -217,7 +217,7 @@ func TestSnowboardExploreAcrossBackends(t *testing.T) {
 	run := func(ex explore.Executor) []row {
 		rows := make([]row, len(cluster.Members))
 		for i, mem := range cluster.Members {
-			hit, execs, err := snowboard.ExploreX(ex, mem, cluster, bug.ID, 10, 60+uint64(i), nil, nil, nil)
+			hit, execs, err := snowboard.Explore(ex, mem, cluster, bug.ID, 10, 60+uint64(i), nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"snowcat/internal/campaign"
+	"snowcat/internal/explore"
 	"snowcat/internal/kernel"
 	"snowcat/internal/razzer"
 	"snowcat/internal/ski"
@@ -257,7 +258,7 @@ func table5Rows() []table5Agg {
 			trig := make([]bool, len(c.Members))
 			any, all := false, true
 			for i, m := range c.Members {
-				hit, _, err := snowboard.Explore(k, m, c, bug.ID, 20, uint64(611+i))
+				hit, _, err := snowboard.Explore(explore.DefaultExecutor(k), m, c, bug.ID, 20, uint64(611+i), nil, nil, nil)
 				if err != nil {
 					panic(err)
 				}

@@ -117,29 +117,21 @@ func newExploreFlags(fs *flag.FlagSet) *exploreFlags {
 	}
 }
 
-// resilience builds a fresh resilience layer from the parsed chaos flags.
-// The quarantine list is per-run state, so call once per campaign or
-// reproduction run; nil means chaos testing is off (legacy fail-fast
-// pipeline, bit-identical to builds without the faults package).
+// resilience builds a fresh resilience layer from the parsed chaos flags,
+// or nil — the fail-fast policy: one attempt per execution, and the first
+// failure aborts — when chaos testing is off. The quarantine list is
+// per-run state, so call once per campaign or reproduction run.
 func (e *exploreFlags) resilience() (*explore.Resilience, error) {
-	return resilienceFromFlags(*e.rate, *e.fseed, *e.retries)
-}
-
-// resilienceFromFlags builds the resilience layer the chaos flags describe,
-// or nil (the legacy fail-fast pipeline, bit-identical to builds without
-// the faults package) when chaos testing is off. The quarantine list is
-// per-run state, so call this once per campaign/reproduction run.
-func resilienceFromFlags(rate float64, seed uint64, retries int) (*explore.Resilience, error) {
-	if rate <= 0 && retries <= 0 {
+	if *e.rate <= 0 && *e.retries <= 0 {
 		return nil, nil
 	}
 	p := faults.DefaultPolicy()
-	if retries > 0 {
-		p.MaxRetries = retries
+	if *e.retries > 0 {
+		p.MaxRetries = *e.retries
 	}
 	var inj *faults.Injector
-	if rate > 0 {
-		inj = faults.New(seed, rate)
+	if *e.rate > 0 {
+		inj = faults.New(*e.fseed, *e.rate)
 	}
 	return explore.NewResilience(inj, p)
 }
@@ -611,8 +603,7 @@ func cmdSnowboard(args []string) error {
 		return err
 	}
 	// One cumulative ledger across every member exploration so the chaos
-	// counters can be reported at the end; nil resilience leaves it at the
-	// legacy per-execution charges.
+	// counters can be reported at the end.
 	fled := explore.NewLedger(explore.CostModel{})
 
 	found := 0
@@ -638,7 +629,7 @@ func cmdSnowboard(args []string) error {
 			trig := make([]bool, len(c.Members))
 			any, all := false, true
 			for i, mem := range c.Members {
-				hit, _, err := snowboard.ExploreX(ex, mem, c, bug.ID, 20, *seed+uint64(60+i), res, fled, nil)
+				hit, _, err := snowboard.Explore(ex, mem, c, bug.ID, 20, *seed+uint64(60+i), res, fled, nil)
 				if err != nil {
 					return err
 				}

@@ -111,11 +111,10 @@ type Config struct {
 	// worker count. PCT plan construction shards across workers and fires
 	// no per-candidate hooks.
 	Hooks *explore.Hooks
-	// Resilience, when non-nil, runs every dynamic execution through the
-	// fault-injection retry/quarantine layer and degrades failures to
-	// skipped candidates instead of aborting the campaign. Nil keeps the
-	// legacy fail-fast pipeline bit-identically. Quarantine is keyed by
-	// this run's CTI IDs, so pass a fresh Resilience per Run.
+	// Resilience is the execution policy: a non-nil layer retries,
+	// quarantines, and degrades failures to skipped candidates; nil aborts
+	// the campaign on the first failure with an ErrExec error. Quarantine
+	// is keyed by this run's CTI IDs, so pass a fresh Resilience per Run.
 	Resilience *explore.Resilience
 }
 

@@ -24,7 +24,7 @@
 package explore
 
 import (
-	"fmt"
+	"slices"
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/faults"
@@ -147,8 +147,8 @@ type Walk struct {
 	Hooks  *Hooks
 
 	// Resilience, when non-nil, degrades a panicking GraphBuild stage to
-	// a skipped-and-logged candidate instead of re-raising the worker
-	// panic. Nil keeps the legacy fail-fast behaviour bit-identically.
+	// a skipped-and-logged candidate; nil (fail-fast) re-raises the
+	// worker panic.
 	Resilience *Resilience
 
 	cti ski.CTI // CTI of the last proposed candidate, for BudgetExhausted
@@ -198,50 +198,38 @@ func (w *Walk) Run() []Candidate {
 		}
 		var graphs []*ctgraph.Graph
 		if w.Build != nil {
-			build := w.Build
-			if w.Resilience != nil {
-				build = func(c Candidate) *ctgraph.Graph { return safeBuild(w.Build, c) }
-			}
+			// A panicking build leaves its slot nil (parallel.Map recovers
+			// it); the select loop below skips such candidates.
 			var err error
 			graphs, err = parallel.Map(w.Workers, len(cands), func(i int) (*ctgraph.Graph, error) {
-				return build(cands[i]), nil
+				return w.Build(cands[i]), nil
 			})
-			if err != nil {
-				panic(err) // only a worker panic can land here; re-raise it
+			if err != nil && w.Resilience == nil {
+				panic(err) // fail-fast: re-raise the worker panic
 			}
 		}
 		var scores [][]float64
 		if w.Score != nil {
-			// With resilience, a failed build leaves a nil graph; score the
-			// surviving graphs as one batch and scatter the scores back.
-			// With no failures (and always without resilience) this is the
-			// identity and the legacy single ScoreAll call.
-			toScore, idx := graphs, []int(nil)
-			if w.Resilience != nil {
-				for i, g := range graphs {
-					if g == nil {
-						if idx == nil {
-							idx = make([]int, 0, len(graphs))
-							toScore = append([]*ctgraph.Graph(nil), graphs[:i]...)
-							for j := 0; j < i; j++ {
-								idx = append(idx, j)
-							}
-						}
-						continue
-					}
-					if idx != nil {
-						idx = append(idx, i)
+			// Score the built graphs as one batch; when a build failed,
+			// score the survivors and scatter their scores back.
+			toScore := graphs
+			failed := slices.Contains(graphs, nil)
+			if failed {
+				toScore = make([]*ctgraph.Graph, 0, len(graphs))
+				for _, g := range graphs {
+					if g != nil {
 						toScore = append(toScore, g)
 					}
 				}
 			}
-			raw := predictor.ScoreAll(w.Score, toScore, w.Workers)
-			if idx == nil {
-				scores = raw
-			} else {
+			scores = predictor.ScoreAll(w.Score, toScore, w.Workers)
+			if failed {
+				raw := scores
 				scores = make([][]float64, len(cands))
-				for j, i := range idx {
-					scores[i] = raw[j]
+				for i, g := range graphs {
+					if g != nil {
+						scores[i], raw = raw[0], raw[1:]
+					}
 				}
 			}
 			w.Hooks.batchScored(cands[0].CTI, len(toScore))
@@ -252,7 +240,7 @@ func (w *Walk) Run() []Candidate {
 			}
 			led.Propose(1)
 			w.Hooks.candidateProposed(c)
-			if w.Resilience != nil && w.Build != nil && graphs[i] == nil {
+			if w.Build != nil && graphs[i] == nil {
 				// The build stage panicked on this candidate: skip-and-log
 				// (its proposal is charged, no inference ever ran).
 				led.RecordSkips(1)
@@ -282,44 +270,37 @@ func (w *Walk) Run() []Candidate {
 }
 
 // ExecutePlan is the Execute stage: it runs every selected schedule of one
-// CTI through the executor backend on at most workers goroutines (<= 0
-// means 1) and returns the results in selection order, so the output is
-// identical for any worker count. Each result is charged to the ledger —
-// and its hook fired — during the sequential in-order fold. Every
-// registered backend is pinned DeepEqual to the interpreter, so the stage's
-// output does not depend on which one runs it.
+// CTI through the executor backend and the resilience layer on at most
+// workers goroutines (<= 0 selects GOMAXPROCS, as in parallel.Map) and
+// returns the results in selection order, so the output is identical for
+// any worker count. Each result is
+// charged to the ledger — and its hook fired — during the sequential
+// in-order fold. Every registered backend is pinned DeepEqual to the
+// interpreter, so the stage's output does not depend on which one runs it.
 //
-// With res == nil the stage is fail-fast: a failed execution wraps ErrExec
-// alongside the underlying ski error and no charges are recorded. With a
-// resilience layer, executions run through the fault injector and retry
-// policy instead; a candidate whose every attempt failed (or whose CTI is
-// quarantined) yields a nil entry in the returned slice — skip-and-log
-// degradation, never an error — and the fold charges attempts, backoff and
-// penalties per the policy.
+// With res == nil the stage is fail-fast: a failed execution returns an
+// error wrapping ErrExec and the underlying error, and no charges are
+// recorded. With a resilience layer, executions run through the fault
+// injector and retry policy; a candidate whose every attempt failed (or
+// whose CTI is quarantined) yields a nil entry in the returned slice —
+// skip-and-log degradation, never an error — and the fold charges
+// attempts, backoff and penalties per the policy.
 func ExecutePlan(ex Executor, cti ski.CTI, scheds []ski.Schedule, workers int,
 	led *Ledger, hooks *Hooks, res *Resilience) ([]*ski.Result, error) {
 
 	if led == nil {
 		led = NewLedger(CostModel{})
 	}
-	if res == nil {
-		results, err := parallel.Map(workers, len(scheds), func(i int) (*ski.Result, error) {
-			return ex.Execute(cti, scheds[i])
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrExec, err)
-		}
-		for i, r := range results {
-			led.Charge(1, 0)
-			hooks.ScheduleExecutedHook(Candidate{Seq: i, CTI: cti, Sched: scheds[i]}, r)
-		}
-		return results, nil
-	}
 	reports, err := parallel.Map(workers, len(scheds), func(i int) (faults.Report, error) {
 		return res.Execute(ex, cti, scheds[i]), nil
 	})
 	if err != nil {
 		panic(err) // faults.Run recovers exec panics; reaching this is a pipeline bug
+	}
+	for _, rep := range reports {
+		if err := res.Abort(rep); err != nil {
+			return nil, err
+		}
 	}
 	out := make([]*ski.Result, len(scheds))
 	for i, rep := range reports {

@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"sort"
 
-	"snowcat/internal/ctgraph"
 	"snowcat/internal/faults"
 	"snowcat/internal/ski"
 )
 
 // Resilience binds a fault injector to a resilience policy and carries the
-// quarantine state of one run. A nil *Resilience selects the legacy
-// abort-on-error pipeline, bit-identical to the pre-fault code.
+// quarantine state of one run. A nil *Resilience is the fail-fast policy:
+// one attempt, no injector, retries, step budget or quarantine, and Abort
+// turns a failure into an ErrExec error instead of a skip.
 //
 // The concurrency contract splits the type in two halves. Execute reads
 // only immutable configuration, so pool workers may call it concurrently;
@@ -50,21 +50,44 @@ func NewResilience(inj *faults.Injector, p faults.Policy) (*Resilience, error) {
 // for every backend. It mutates nothing shared and is safe to call from
 // pool workers.
 func (r *Resilience) Execute(ex Executor, cti ski.CTI, sched ski.Schedule) faults.Report {
-	exec := func(cti ski.CTI, sched ski.Schedule) (*ski.Result, error) {
-		return ex.ExecuteSteps(cti, sched, r.Policy.StepBudget)
+	var inj *faults.Injector
+	var p faults.Policy
+	if r != nil {
+		inj, p = r.Inj, r.Policy
 	}
-	return faults.Run(ex.Kernel(), r.Inj, r.Policy, exec, cti, sched)
+	exec := func(cti ski.CTI, sched ski.Schedule) (*ski.Result, error) {
+		return ex.ExecuteSteps(cti, sched, p.StepBudget)
+	}
+	return faults.Run(ex.Kernel(), inj, p, exec, cti, sched)
+}
+
+// Abort returns the error a failed report ends the run with: for a nil
+// receiver it wraps ErrExec around the report's error, so the caller fails
+// fast before charging anything; a non-nil layer returns nil and the
+// failure degrades to a skipped candidate in Fold.
+func (r *Resilience) Abort(rep faults.Report) error {
+	if r != nil || rep.Err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrExec, rep.Err)
+}
+
+// GivesUp reports whether a candidate that counts its own given-up
+// executions (Razzer's and Snowboard's per-candidate sweeps) has reached
+// Policy.QuarantineAfter and is abandoned. Always false for nil.
+func (r *Resilience) GivesUp(failures int) bool {
+	return r != nil && r.Policy.QuarantineAfter > 0 && failures >= r.Policy.QuarantineAfter
 }
 
 // Quarantined reports whether the CTI is on the quarantine list.
 // Sequential fold only.
-func (r *Resilience) Quarantined(ctiID int64) bool { return r.quarantined[ctiID] }
+func (r *Resilience) Quarantined(ctiID int64) bool { return r != nil && r.quarantined[ctiID] }
 
 // NoteFailure records one given-up candidate of the CTI and reports
 // whether this crossed the quarantine threshold right now (so the caller
 // fires the quarantine hook exactly once). Sequential fold only.
 func (r *Resilience) NoteFailure(ctiID int64) bool {
-	if r.Policy.QuarantineAfter <= 0 || r.quarantined[ctiID] {
+	if r == nil || r.Policy.QuarantineAfter <= 0 || r.quarantined[ctiID] {
 		return false
 	}
 	r.failed[ctiID]++
@@ -107,17 +130,6 @@ func (r *Resilience) Fold(c Candidate, rep faults.Report, led *Ledger, hooks *Ho
 	return rep.Res
 }
 
-// safeBuild degrades a panicking GraphBuild stage to a nil graph, so one
-// corrupted candidate skips instead of bringing down the whole walk.
-func safeBuild(build func(Candidate) *ctgraph.Graph, c Candidate) (g *ctgraph.Graph) {
-	defer func() {
-		if recover() != nil {
-			g = nil
-		}
-	}()
-	return build(c)
-}
-
 // ResilienceState is a portable snapshot of the quarantine memory, sorted
 // so equal memories encode identically (checkpoint determinism).
 type ResilienceState struct {
@@ -126,9 +138,12 @@ type ResilienceState struct {
 	Quarantined  []int64
 }
 
-// State captures the failure/quarantine memory.
+// State captures the failure/quarantine memory; nil has none.
 func (r *Resilience) State() ResilienceState {
 	var st ResilienceState
+	if r == nil {
+		return st
+	}
 	for id := range r.failed {
 		st.FailedIDs = append(st.FailedIDs, id)
 	}
@@ -145,10 +160,17 @@ func (r *Resilience) State() ResilienceState {
 }
 
 // RestoreState replaces the failure/quarantine memory from a snapshot.
+// A nil receiver keeps no memory, so it accepts only an empty snapshot.
 func (r *Resilience) RestoreState(st ResilienceState) error {
 	if len(st.FailedIDs) != len(st.FailedCounts) {
 		return fmt.Errorf("explore: resilience snapshot with %d ids but %d counts",
 			len(st.FailedIDs), len(st.FailedCounts))
+	}
+	if r == nil {
+		if len(st.FailedIDs) != 0 || len(st.Quarantined) != 0 {
+			return fmt.Errorf("explore: resilience snapshot restored into a nil (fail-fast) layer")
+		}
+		return nil
 	}
 	r.failed = make(map[int64]int, len(st.FailedIDs))
 	for i, id := range st.FailedIDs {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"snowcat/internal/campaign"
-	"snowcat/internal/explore"
 	"snowcat/internal/faults"
 	"snowcat/internal/mlpct"
 	"snowcat/internal/parallel"
@@ -119,10 +118,7 @@ func (co *Coordinator) Run() (*campaign.History, error) {
 		if c.Strat != nil {
 			stratSnap = c.Strat.Save()
 		}
-		var resSnap explore.ResilienceState
-		if c.Resilience != nil {
-			resSnap = c.Resilience.State()
-		}
+		resSnap := c.Resilience.State()
 
 		// Chaos: decide this round's shard kills up front, deterministically.
 		if co.Chaos != nil {
@@ -155,10 +151,8 @@ func (co *Coordinator) Run() (*campaign.History, error) {
 					return nil, fmt.Errorf("fleet: round %d rollback: %w", round, rerr)
 				}
 			}
-			if c.Resilience != nil {
-				if rerr := c.Resilience.RestoreState(resSnap); rerr != nil {
-					return nil, fmt.Errorf("fleet: round %d rollback: %w", round, rerr)
-				}
+			if rerr := c.Resilience.RestoreState(resSnap); rerr != nil {
+				return nil, fmt.Errorf("fleet: round %d rollback: %w", round, rerr)
 			}
 		}
 

@@ -138,12 +138,11 @@ type Explorer struct {
 	// in-order execution fold, so concurrent Plan calls must not share a
 	// hooked explorer.
 	Hooks *explore.Hooks
-	// Resilience, when non-nil, runs Execute through the fault-injection
-	// retry/quarantine layer and degrades build-stage panics during
-	// planning to skipped candidates. Nil keeps the legacy fail-fast
-	// pipeline bit-identically. Its quarantine maps are mutated only from
-	// Execute's sequential fold, so concurrent Plan calls may share it,
-	// but concurrent Execute calls must not.
+	// Resilience is the execution policy Execute runs through (nil fails
+	// fast); a non-nil layer also degrades build-stage panics during
+	// planning to skipped candidates. Its quarantine maps are mutated only
+	// from Execute's sequential fold, so concurrent Plan calls may share
+	// it, but concurrent Execute calls must not.
 	Resilience *explore.Resilience
 }
 
@@ -245,9 +244,9 @@ func (e *Explorer) PlanMLPCT(cti ski.CTI, pa, pb *syz.Profile, seed uint64,
 
 // Execute runs every planned schedule on Opts.Parallel workers and folds
 // the results into an Outcome in selection order, so the outcome is
-// identical for any worker count. Without a Resilience layer a failed
-// execution wraps ErrExec; with one, failed candidates are skipped (and
-// counted) instead of aborting the outcome.
+// identical for any worker count. With a nil Resilience a failed
+// execution aborts with an ErrExec-wrapped error; with one, failed
+// candidates are skipped (and counted) instead.
 func (e *Explorer) Execute(p *Plan) (*Outcome, error) {
 	led := explore.NewLedger(explore.CostModel{})
 	results, err := explore.ExecutePlan(e.executor(), p.CTI, p.Scheds, e.Opts.workers(), led, e.Hooks, e.Resilience)
@@ -255,11 +254,11 @@ func (e *Explorer) Execute(p *Plan) (*Outcome, error) {
 		return nil, fmt.Errorf("mlpct: %w", err)
 	}
 	out := &Outcome{Proposed: p.Proposed, Inferences: p.Inferences}
-	for i, res := range results {
-		if res == nil {
+	for i, r := range results {
+		if r == nil {
 			continue // skipped by the resilience layer
 		}
-		out.addResult(res, p.Scheds[i])
+		out.addResult(r, p.Scheds[i])
 	}
 	out.Retries = led.Retries()
 	out.Skipped = led.Skipped()

@@ -260,11 +260,10 @@ type ReproConfig struct {
 	// Parallel bounds the worker pool fanning candidate CTIs out; <= 0
 	// selects GOMAXPROCS. The result is identical for every worker count.
 	Parallel int
-	// Resilience, when non-nil, runs every schedule execution through the
-	// fault-injection retry layer: a schedule whose attempts all fail is
-	// skipped (it cannot witness the race), and a candidate accumulating
-	// Policy.QuarantineAfter skipped schedules is abandoned. Nil keeps the
-	// legacy fail-fast sweep bit-identically.
+	// Resilience is the execution policy every schedule runs through: a
+	// schedule whose attempts all fail is skipped (it cannot witness the
+	// race), and a candidate accumulating Policy.QuarantineAfter skipped
+	// schedules is abandoned. Nil fails fast with an ErrExec error.
 	Resilience *explore.Resilience
 }
 
@@ -334,32 +333,24 @@ func (f *Finder) Reproduce(target TargetRace, ctis []ski.CTI, cfg ReproConfig) (
 		var att attempt
 		sampler := ski.NewSampler(pa, pb, seeds[i])
 		for s := 0; s < cfg.SchedulesPerCTI; s++ {
-			var out *ski.Result
-			if cfg.Resilience != nil {
-				// Quarantine tallies locally (this worker owns the whole
-				// candidate); the sequential fold settles the counters.
-				rep := cfg.Resilience.Execute(ex, cti, sampler.Next())
-				att.execs += rep.Attempts
-				att.retries += rep.Attempts - 1
-				att.extra += rep.BackoffSeconds + rep.PenaltySeconds
-				if rep.Err != nil {
-					att.skipped++
-					if q := cfg.Resilience.Policy.QuarantineAfter; q > 0 && att.skipped >= q {
-						att.gaveUp = true
-						break
-					}
-					continue
-				}
-				out = rep.Res
-			} else {
-				var err error
-				out, err = ex.Execute(cti, sampler.Next())
-				if err != nil {
-					return att, fmt.Errorf("%w: %w", explore.ErrExec, err)
-				}
-				att.execs++
+			rep := cfg.Resilience.Execute(ex, cti, sampler.Next())
+			if err := cfg.Resilience.Abort(rep); err != nil {
+				return att, err
 			}
-			for _, r := range race.Detect(out) {
+			// Quarantine tallies locally (this worker owns the whole
+			// candidate); the sequential fold settles the counters.
+			att.execs += rep.Attempts
+			att.retries += rep.Attempts - 1
+			att.extra += rep.BackoffSeconds + rep.PenaltySeconds
+			if rep.Err != nil {
+				att.skipped++
+				if cfg.Resilience.GivesUp(att.skipped) {
+					att.gaveUp = true
+					break
+				}
+				continue
+			}
+			for _, r := range race.Detect(rep.Res) {
 				if target.Matches(r) {
 					att.tp = true
 					break

@@ -48,34 +48,6 @@ func mustResilience(t *testing.T, inj *faults.Injector, p faults.Policy) *explor
 	return r
 }
 
-// TestExploreRNilResilienceMatchesExplore pins the delegation: ExploreR
-// with a nil resilience layer is Explore, bit for bit, including the exec
-// counts and ledger charges.
-func TestExploreRNilResilienceMatchesExplore(t *testing.T) {
-	k, c, bugID := buggyCluster(t, 14)
-	for i, m := range c.Members {
-		hit, execs, err := Explore(k, m, c, bugID, 40, uint64(i))
-		led := explore.NewLedger(explore.PaperCosts())
-		hitR, execsR, errR := ExploreR(k, m, c, bugID, 40, uint64(i), nil, led, nil)
-		if hit != hitR || execs != execsR || (err == nil) != (errR == nil) {
-			t.Fatalf("member %d: ExploreR(nil) diverged: (%v,%d,%v) vs (%v,%d,%v)",
-				i, hitR, execsR, errR, hit, execs, err)
-		}
-		if led.Execs() != execs {
-			t.Fatalf("member %d: ledger execs %d, returned %d", i, led.Execs(), execs)
-		}
-		// The legacy path charges per execution, so the pinned clock is the
-		// same sequence of float additions, not one multiplication.
-		want := 0.0
-		for j := 0; j < execs; j++ {
-			want += float64(1) * 2.8
-		}
-		if led.Seconds() != want {
-			t.Fatalf("member %d: clock %v, want %v", i, led.Seconds(), want)
-		}
-	}
-}
-
 // TestExploreRChaosDeterministic pins the enabled contract: a fixed fault
 // seed yields identical hit/exec results and ledger snapshots on repeated
 // runs, and the counters report the injected faults.
@@ -91,7 +63,7 @@ func TestExploreRChaosDeterministic(t *testing.T) {
 		led := explore.NewLedger(explore.PaperCosts())
 		var o outcome
 		for i, m := range c.Members {
-			hit, execs, err := ExploreR(k, m, c, bugID, 40, uint64(i), res, led, nil)
+			hit, execs, err := Explore(explore.DefaultExecutor(k), m, c, bugID, 40, uint64(i), res, led, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +96,7 @@ func TestExploreRQuarantineGivesUp(t *testing.T) {
 	p := faults.Policy{MaxRetries: 1, QuarantineAfter: 2, StepBudget: 1}
 	res := mustResilience(t, nil, p)
 	led := explore.NewLedger(explore.CostModel{})
-	hit, execs, err := ExploreR(k, c.Members[0], c, bugID, 40, 3, res, led, nil)
+	hit, execs, err := Explore(explore.DefaultExecutor(k), c.Members[0], c, bugID, 40, 3, res, led, nil)
 	if err != nil || hit {
 		t.Fatalf("gave-up exploration returned (%v, %v)", hit, err)
 	}

@@ -19,7 +19,6 @@ import (
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/explore"
-	"snowcat/internal/kernel"
 	"snowcat/internal/predictor"
 	"snowcat/internal/ski"
 	"snowcat/internal/strategy"
@@ -201,34 +200,20 @@ func (s *PIC) Sample(c *Cluster) []int {
 	return out
 }
 
-// Explore dynamically tests one member with the cluster hint plus focused
-// single-switch schedules: Snowboard exercises interleavings *of the
-// identified data flow* (§7), so the extra schedules yield from the
-// write-side thread at varying points and let the read-side thread run —
-// exactly the switch structure that can realise the pair. Reports whether
-// the planted bug fired.
-func Explore(k *kernel.Kernel, m Member, c *Cluster, bugID int32, extraSchedules int, seed uint64) (bool, int, error) {
-	return ExploreR(k, m, c, bugID, extraSchedules, seed, nil, nil, nil)
-}
-
-// ExploreR is Explore with the fault-injection resilience layer threaded
-// through. With res == nil (and any led/hooks) the execution sequence,
-// charges and return values are bit-identical to Explore. With a
-// resilience layer, each schedule runs through the fault injector and
-// retry loop: a schedule whose attempts all fail is skipped-and-logged
-// rather than aborting, and after Policy.QuarantineAfter skipped schedules
+// Explore dynamically tests one member on the given execution backend with
+// the cluster hint plus focused single-switch schedules: Snowboard
+// exercises interleavings *of the identified data flow* (§7), so the extra
+// schedules yield from the write-side thread at varying points and let the
+// read-side thread run — exactly the switch structure that can realise the
+// pair. Reports whether the planted bug fired, and the executions this
+// call performed, including retries.
+//
+// Every schedule runs through res; nil fails fast with an ErrExec error.
+// With a resilience layer a schedule whose attempts all fail is
+// skipped-and-logged, and after Policy.QuarantineAfter skipped schedules
 // the member is abandoned (reported as not hitting the bug). led == nil
-// allocates a throwaway ledger; the returned exec count is the executions
-// this call performed, including retries.
-func ExploreR(k *kernel.Kernel, m Member, c *Cluster, bugID int32, extraSchedules int, seed uint64,
-	res *explore.Resilience, led *explore.Ledger, hooks *explore.Hooks) (bool, int, error) {
-	return ExploreX(explore.DefaultExecutor(k), m, c, bugID, extraSchedules, seed, res, led, hooks)
-}
-
-// ExploreX is ExploreR on an explicit execution backend (see
-// explore.NewExecutor). Every registered backend is pinned DeepEqual to the
-// interpreter, so the hit/exec/error outcome is identical to ExploreR.
-func ExploreX(ex explore.Executor, m Member, c *Cluster, bugID int32, extraSchedules int, seed uint64,
+// allocates a throwaway ledger.
+func Explore(ex explore.Executor, m Member, c *Cluster, bugID int32, extraSchedules int, seed uint64,
 	res *explore.Resilience, led *explore.Ledger, hooks *explore.Hooks) (bool, int, error) {
 
 	if led == nil {
@@ -238,16 +223,10 @@ func ExploreX(ex explore.Executor, m Member, c *Cluster, bugID int32, extraSched
 	failures := 0
 	gaveUp := false
 	run := func(seq int, sched ski.Schedule) (bool, error) {
-		if res == nil {
-			out, err := ex.Execute(m.CTI, sched)
-			if err != nil {
-				return false, fmt.Errorf("%w: %w", explore.ErrExec, err)
-			}
-			led.Charge(1, 0)
-			execs++
-			return out.HitBug(bugID), nil
-		}
 		rep := res.Execute(ex, m.CTI, sched)
+		if err := res.Abort(rep); err != nil {
+			return false, err
+		}
 		cand := explore.Candidate{Seq: seq, CTI: m.CTI, Sched: sched}
 		if rep.Attempts > 1 {
 			led.RecordRetries(rep.Attempts - 1)
@@ -262,7 +241,7 @@ func ExploreX(ex explore.Executor, m Member, c *Cluster, bugID int32, extraSched
 			led.RecordSkips(1)
 			hooks.CandidateSkippedHook(cand, rep.Err)
 			failures++
-			if q := res.Policy.QuarantineAfter; q > 0 && failures >= q {
+			if res.GivesUp(failures) {
 				gaveUp = true
 				led.RecordQuarantines(1)
 				hooks.CTIQuarantinedHook(m.CTI)

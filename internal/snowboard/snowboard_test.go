@@ -5,6 +5,7 @@ import (
 
 	"snowcat/internal/cfg"
 	"snowcat/internal/ctgraph"
+	"snowcat/internal/explore"
 	"snowcat/internal/kernel"
 	"snowcat/internal/predictor"
 	"snowcat/internal/sim"
@@ -212,12 +213,23 @@ func TestExploreBuggyCluster(t *testing.T) {
 	}
 	found := false
 	for i, m := range buggy.Members {
-		hit, execs, err := Explore(k, m, buggy, bug.ID, 120, uint64(i))
+		led := explore.NewLedger(explore.PaperCosts())
+		hit, execs, err := Explore(explore.DefaultExecutor(k), m, buggy, bug.ID, 120, uint64(i), nil, led, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if execs == 0 {
 			t.Fatal("no executions")
+		}
+		// Each execution is charged as it runs: one clock addition per
+		// execution, not one multiplication per member.
+		clock := 0.0
+		for j := 0; j < execs; j++ {
+			clock += 2.8
+		}
+		if led.Execs() != execs || led.Seconds() != clock {
+			t.Fatalf("member %d: ledger %d execs / %v s, returned %d execs (want %v s)",
+				i, led.Execs(), led.Seconds(), execs, clock)
 		}
 		if hit {
 			found = true

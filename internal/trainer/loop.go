@@ -31,7 +31,7 @@ type LoopConfig struct {
 	// Parallel bounds the worker pools (profiling, scoring, execution,
 	// stream labelling); the result is identical at every width.
 	Parallel int
-	// Resilience, when non-nil, runs executions through the fault layer.
+	// Resilience is the campaign's execution policy (nil fails fast).
 	// Replayed attempts reach the stream once (accumulator dedupe).
 	Resilience *explore.Resilience
 	// Train schedules the retraining rounds; RetrainEvery <= 0 runs the
