@@ -47,9 +47,10 @@ test: lint
 # the quick regression pass CI uses (a real fuzzing session just raises
 # -fuzztime). One invocation per target: go test accepts a single -fuzz
 # pattern and it must match exactly one target in the package.
-# FuzzLoadCheckpoint's and FuzzDecodeModel's inputs are kilobyte gob
-# files, which the default 60s minimizer would spend the whole budget
-# shrinking, so their minimization is capped at 10 runs per new input.
+# FuzzLoadCheckpoint's, FuzzDecodeModel's and FuzzDecodeDataset's inputs
+# are kilobyte gob files, which the default 60s minimizer would spend the
+# whole budget shrinking, so their minimization is capped at 10 runs per
+# new input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleKey$$' -fuzztime 10s ./internal/ski
 	$(GO) test -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 10s ./internal/ski
@@ -60,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzAmplifyNeighbors$$' -fuzztime 10s ./internal/amplify
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/pic
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDataset$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/dataset
 
 vet:
 	$(GO) vet ./...

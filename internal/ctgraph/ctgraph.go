@@ -19,6 +19,7 @@ package ctgraph
 
 import (
 	"fmt"
+	"sync"
 
 	"snowcat/internal/cfg"
 	"snowcat/internal/kernel"
@@ -355,19 +356,37 @@ func (b *Builder) BuildBase(cti ski.CTI, profA, profB *syz.Profile) *Base {
 // what the monolithic Build produced for the same inputs. Only the Hint
 // edges, HintFrac entries, and IRQ vertices/edges are computed here; the
 // Base is read, never written, so concurrent calls are safe.
+//
+// The graph is built into one handed back by Release when there is one,
+// reusing its struct and its Edges and HintFrac capacity; the result is
+// reflect.DeepEqual to a freshly allocated build either way.
 func (base *Base) WithSchedule(sched ski.Schedule) *Graph {
+	g, _ := graphPool.Get().(*Graph)
+	return base.buildInto(g, sched)
+}
+
+// buildInto is WithSchedule building into g, whose previous contents are
+// overwritten and whose buffers are reused; nil allocates a new graph.
+func (base *Base) buildInto(g *Graph, sched ski.Schedule) *Graph {
 	b := base.b
-	g := &Graph{
+	if g == nil {
+		g = new(Graph)
+	}
+	need := len(base.preEdges) + len(sched.Hints) + len(sched.IRQs) + len(base.shortcut)
+	edges, fracs := g.Edges[:0], g.HintFrac[:0]
+	if edges == nil || cap(edges) < need {
+		edges = make([]Edge, 0, need) // never nil, even with no edges at all
+	}
+	*g = Graph{
 		CTI: base.CTI, Sched: sched,
 		Vertices: base.vertices,
+		Edges:    append(edges, base.preEdges...),
 		vidx:     base.vidx,
 		base:     base,
 	}
-	g.Edges = make([]Edge, len(base.preEdges),
-		len(base.preEdges)+len(sched.Hints)+len(sched.IRQs)+len(base.shortcut))
-	copy(g.Edges, base.preEdges)
 
-	var seen map[[3]int32]bool // overlay over base.seen, allocated on demand
+	// Schedule edges are deduplicated against the base's set and, by a
+	// linear scan, against each other: a schedule adds only a handful.
 	addEdge := func(from, to int32, t EdgeType) {
 		if b.Disabled[t] {
 			return
@@ -377,15 +396,16 @@ func (base *Base) WithSchedule(sched ski.Schedule) *Graph {
 		if !ok1 || !ok2 {
 			return
 		}
-		key := [3]int32{fi, ti, int32(t)}
-		if base.seen[key] || seen[key] {
+		if base.seen[[3]int32{fi, ti, int32(t)}] {
 			return
 		}
-		if seen == nil {
-			seen = make(map[[3]int32]bool)
+		e := Edge{From: fi, To: ti, Type: t}
+		for _, old := range g.Edges[len(base.preEdges):] {
+			if old == e {
+				return
+			}
 		}
-		seen[key] = true
-		g.Edges = append(g.Edges, Edge{From: fi, To: ti, Type: t})
+		g.Edges = append(g.Edges, e)
 	}
 
 	// Scheduling-hint edges (§3.1): the first hint yields to the other
@@ -406,7 +426,10 @@ func (base *Base) WithSchedule(sched ski.Schedule) *Graph {
 		if !ok {
 			frac = -1
 		}
-		g.HintFrac = append(g.HintFrac, frac)
+		fracs = append(fracs, frac)
+	}
+	if len(sched.Hints) > 0 {
+		g.HintFrac = fracs // nil without hints, as a fresh build leaves it
 	}
 
 	// Interrupt injections (§6 extension): the handler's blocks join the
@@ -445,6 +468,25 @@ func (base *Base) WithSchedule(sched ski.Schedule) *Graph {
 	g.Edges = append(g.Edges, base.shortcut...)
 	return g
 }
+
+// graphPool is the free list behind Release and WithSchedule. It lives at
+// package level, not in Base: a Graph reaches its Base, and anything a
+// Graph reaches is compared by reflect.DeepEqual on datasets and streams.
+var graphPool sync.Pool
+
+// Release hands g back for reuse by a later WithSchedule on any Base. Only
+// the sole owner of g may release it, and only once nothing reads g any
+// more: the next build overwrites its struct, Edges and HintFrac in place.
+// MLPCT's walk releases the graphs of rejected candidates; accepted
+// graphs and graphs stored in datasets or streams are never released.
+func (g *Graph) Release() {
+	g.reset()
+	graphPool.Put(g)
+}
+
+// reset drops everything g references except its Edges and HintFrac
+// buffers, so a pooled graph pins no Base, index or schedule.
+func (g *Graph) reset() { *g = Graph{Edges: g.Edges[:0], HintFrac: g.HintFrac[:0]} }
 
 // interDF adds InterDF edges from writer blocks of pw to reader blocks of
 // pr for overlapping addresses.

@@ -67,7 +67,9 @@ func fuzzSchedule(data []byte, pa, pb *syz.Profile) ski.Schedule {
 
 // FuzzCTGraphBuild pins the Base/WithSchedule split against the monolithic
 // Build for arbitrary schedules: both constructions must agree bit for bit,
-// and neither may panic on hostile switch refs.
+// and neither may panic on hostile switch refs. A third build goes into a
+// released graph of another base that held a different schedule (derived
+// from the input's second half) and must agree too.
 func FuzzCTGraphBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 7, 0, 0, 0})
@@ -79,6 +81,10 @@ func FuzzCTGraphBuild(f *testing.F) {
 		split := builder.BuildBase(cti, pa, pb).WithSchedule(sched)
 		if !reflect.DeepEqual(mono, split) {
 			t.Fatalf("Base+WithSchedule diverges from Build for schedule %q", sched.Key())
+		}
+		old := builder.BuildBase(cti, pa, pb).WithSchedule(fuzzSchedule(data[len(data)/2:], pa, pb))
+		if got := recycle(builder.BuildBase(cti, pa, pb), old, sched); !reflect.DeepEqual(mono, got) {
+			t.Fatalf("a recycled graph diverges from Build for schedule %q", sched.Key())
 		}
 	})
 }

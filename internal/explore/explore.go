@@ -137,7 +137,8 @@ type Walk struct {
 	// and Score can process them as one batch; <= 0 means 1.
 	Batch int
 	// Workers bounds the pool for the GraphBuild and Score stages; <= 0
-	// means 1 (sequential).
+	// selects GOMAXPROCS, as in parallel.Map and predictor.ScoreAll. The
+	// walk's output is the same for every value.
 	Workers int
 
 	// Ledger receives the walk's charges; nil allocates a throwaway

@@ -210,7 +210,9 @@ func (e *Explorer) PlanPCT(cti ski.CTI, pa, pb *syz.Profile, seed uint64) *Plan 
 // strictly in proposal order and the ledger charges only the walked
 // prefix — a candidate past the budget/cap stopping point is discarded
 // unwalked, exactly as if it had never been proposed. The plan is
-// therefore identical for every batch size and worker count. The strategy
+// therefore identical for every batch size and worker count. Graphs the
+// strategy rejects are handed back through ctgraph.Graph.Release, so a
+// strategy must not keep a graph it is shown (DESIGN.md §6.1). The strategy
 // is mutated (its memory spans CTIs in campaigns), so calls sharing a
 // strategy must stay sequential.
 func (e *Explorer) PlanMLPCT(cti ski.CTI, pa, pb *syz.Profile, seed uint64,
@@ -233,7 +235,11 @@ func (e *Explorer) PlanMLPCT(cti ski.CTI, pa, pb *syz.Profile, seed uint64,
 		Build:  func(c explore.Candidate) *ctgraph.Graph { return base.WithSchedule(c.Sched) },
 		Score:  pred,
 		Accept: func(c explore.Candidate, g *ctgraph.Graph, scores []float64) bool {
-			return strategy.Select(strat, g, strategy.FromScores(scores, th))
+			if strategy.Select(strat, g, strategy.FromScores(scores, th)) {
+				return true
+			}
+			g.Release() // nothing reads a rejected graph after Accept
+			return false
 		},
 		Budget: explore.Budget{ExecBudget: e.Opts.ExecBudget, InferenceCap: e.Opts.InferenceCap},
 		Batch:  e.Opts.batch(), Workers: e.Opts.workers(),

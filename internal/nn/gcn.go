@@ -141,9 +141,6 @@ func (g *RelGraph) Finalize() {
 	}
 }
 
-// Finalized reports whether Finalize has run since the last Reset.
-func (g *RelGraph) Finalized() bool { return g.finalized }
-
 // NumRel returns the relation count.
 func (g *RelGraph) NumRel() int { return len(g.Rel) }
 

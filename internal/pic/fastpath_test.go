@@ -166,3 +166,44 @@ func TestPredictAllCtxMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictAllCtxAllocCeiling pins the pooled-arena contract of the
+// batched path: once the package pool holds warm arenas, PredictAllCtx
+// allocates one score row per graph plus a fixed fan-out overhead that
+// does not grow with the batch. The race detector drops pooled items at
+// random, so the count is only pinned without it.
+func TestPredictAllCtxAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	k := kernel.Generate(kernel.SmallConfig(241))
+	m := New(tinyCfg(242))
+	tc := NewTokenCache(k, m.Vocab)
+	f := newCTIFixture(t, k, 243, 8)
+	bc := m.NewBaseContext(f.base, tc)
+	small := make([]*ctgraph.Graph, len(f.scheds))
+	for i, sched := range f.scheds {
+		small[i] = f.base.WithSchedule(sched)
+	}
+	large := append(append([]*ctgraph.Graph{}, small...), small...)
+	// The fan-out's own allocations: the arena and result slices, the
+	// closures, and with two workers the goroutines and their sync state
+	// (5 and 12 when measured). Fresh arenas would cost dozens more.
+	const overhead = 16
+	for _, workers := range []int{1, 2} {
+		allocs := func(gs []*ctgraph.Graph) float64 {
+			m.PredictAllCtx(gs, tc, workers, bc) // warm the pool's arenas
+			return testing.AllocsPerRun(20, func() { m.PredictAllCtx(gs, tc, workers, bc) })
+		}
+		a1, a2 := allocs(small), allocs(large)
+		t.Logf("workers=%d: %v allocations for %d graphs, %v for %d", workers, a1, len(small), a2, len(large))
+		if a1 > float64(len(small)+overhead) || a2 > float64(len(large)+overhead) {
+			t.Errorf("workers=%d: %v allocations for %d graphs and %v for %d, want at most one per graph plus %d",
+				workers, a1, len(small), a2, len(large), overhead)
+		}
+		if a2-a1 > float64(len(large)-len(small)) {
+			t.Errorf("workers=%d: %v extra allocations for %d extra graphs, want at most one each",
+				workers, a2-a1, len(large)-len(small))
+		}
+	}
+}

@@ -21,6 +21,7 @@ package pic
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kasm"
@@ -432,6 +433,12 @@ type Scratch struct {
 // reused across graphs.
 func NewScratch() *Scratch { return &Scratch{} }
 
+// scratchPool holds warm inference arenas shared by every caller that does
+// not keep its own: PredictInto with a nil scratch, PredictAllCtx and
+// PredictEach, and through them the serve dispatcher. A scratch is reset by
+// each use, so any borrower may take any arena.
+var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+
 // inferLogits runs the inference-only forward pass using s's buffers,
 // returning a logits matrix owned by s (valid until the next call). The
 // operation order matches forward exactly, so the two paths produce
@@ -468,14 +475,15 @@ func (m *Model) PredictWith(g *ctgraph.Graph, tc *TokenCache, s *Scratch) []floa
 }
 
 // PredictInto is the hot-path Predict: intermediates live in s (nil
-// allocates a fresh one), dst's capacity is reused for the result, and a
-// non-nil bc supplies the CTI's precomputed schedule-independent features.
-// With a warm scratch and a capacious dst the steady state performs zero
-// allocations. The probabilities are bit-identical to Predict's for every
-// (s, dst, bc) combination.
+// borrows a warm arena from the package pool), dst's capacity is reused
+// for the result, and a non-nil bc supplies the CTI's precomputed
+// schedule-independent features. With a warm scratch and a capacious dst
+// the steady state performs zero allocations. The probabilities are
+// bit-identical to Predict's for every (s, dst, bc) combination.
 func (m *Model) PredictInto(dst []float64, g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *BaseContext) []float64 {
 	if s == nil {
-		s = NewScratch()
+		s = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(s)
 	}
 	logits := m.inferLogits(g, tc, s, bc)
 	if cap(dst) < logits.Rows {
@@ -491,26 +499,49 @@ func (m *Model) PredictInto(dst []float64, g *ctgraph.Graph, tc *TokenCache, s *
 
 // PredictAll scores many graphs, fanning out to at most workers goroutines
 // (<= 0 selects GOMAXPROCS). Inference only reads model parameters, so the
-// workers share the model; each owns a Scratch. The result is index-
-// aligned with gs and bit-identical to calling Predict per graph.
+// workers share the model; each borrows a Scratch from the package pool.
+// The result is index-aligned with gs and bit-identical to calling Predict
+// per graph; with warm arenas the only per-graph allocation is its row.
 func (m *Model) PredictAll(gs []*ctgraph.Graph, tc *TokenCache, workers int) [][]float64 {
-	return m.PredictAllCtx(gs, tc, workers, nil)
+	return m.predictAll(gs, tc, workers, nil, nil)
 }
 
 // PredictAllCtx is PredictAll with a shared per-CTI BaseContext (nil is
 // allowed; graphs not derived from the context's Base are computed in
 // full). The context is read-only, so all workers share it.
 func (m *Model) PredictAllCtx(gs []*ctgraph.Graph, tc *TokenCache, workers int, bc *BaseContext) [][]float64 {
-	w := parallel.Workers(workers)
-	scratches := make([]*Scratch, w)
+	return m.predictAll(gs, tc, workers, bc, nil)
+}
+
+// PredictEach is PredictAll with one context per graph: bcs[i] (nil
+// allowed) serves gs[i]. It scores batches that mix CTIs, as the serve
+// dispatcher's coalesced batches do.
+func (m *Model) PredictEach(gs []*ctgraph.Graph, tc *TokenCache, workers int, bcs []*BaseContext) [][]float64 {
+	return m.predictAll(gs, tc, workers, nil, bcs)
+}
+
+// predictAll is the fan-out behind PredictAll, PredictAllCtx and
+// PredictEach: gs[i] is scored with bcs[i] when bcs is non-nil, else with
+// bc.
+func (m *Model) predictAll(gs []*ctgraph.Graph, tc *TokenCache, workers int, bc *BaseContext, bcs []*BaseContext) [][]float64 {
+	scratches := make([]*Scratch, min(parallel.Workers(workers), len(gs)))
 	for i := range scratches {
-		scratches[i] = NewScratch()
+		scratches[i] = scratchPool.Get().(*Scratch)
 	}
-	out, err := parallel.MapWorkers(w, len(gs), func(worker, i int) ([]float64, error) {
-		return m.PredictInto(nil, gs[i], tc, scratches[worker], bc), nil
+	out, err := parallel.MapWorkers(len(scratches), len(gs), func(worker, i int) ([]float64, error) {
+		c := bc
+		if bcs != nil {
+			c = bcs[i]
+		}
+		return m.PredictInto(nil, gs[i], tc, scratches[worker], c), nil
 	})
 	if err != nil {
-		panic(err) // only a worker panic can land here; re-raise it
+		// Only a worker panic lands here, maybe mid-pass: re-raise it and
+		// leave the arenas to the GC rather than the pool.
+		panic(err)
+	}
+	for _, s := range scratches {
+		scratchPool.Put(s)
 	}
 	return out
 }

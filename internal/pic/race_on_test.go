@@ -1,0 +1,5 @@
+//go:build race
+
+package pic
+
+const raceEnabled = true

@@ -78,16 +78,6 @@ func (c *HTTPClient) PredictCTI(ctx context.Context, cti ski.CTI, scheds []ski.S
 	return &resp, nil
 }
 
-// PredictGraphs scores pre-built wire graphs on an explicit shard (the
-// graph-level protocol carries no CTI identity to route by).
-func (c *HTTPClient) PredictGraphs(ctx context.Context, shard int, req *PredictRequest) (*PredictResponse, error) {
-	var resp PredictResponse
-	if err := c.post(ctx, shard, "/v1/predict", req, &resp); err != nil {
-		return nil, fmt.Errorf("shard %d: %w", shard, err)
-	}
-	return &resp, nil
-}
-
 // Stats fetches one shard's /statsz counters.
 func (c *HTTPClient) Stats(ctx context.Context, shard int) (StatsSnapshot, error) {
 	var out StatsSnapshot

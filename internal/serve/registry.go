@@ -94,18 +94,6 @@ func (r *Registry) Load(version string, m *pic.Model, tc *pic.TokenCache) error 
 	return nil
 }
 
-// LoadEncoded decodes a gob-serialised model (pic.Decode, which calls
-// Rebind on every parameter so the snapshot is safe for the concurrent
-// inference paths), builds its token cache for the kernel the cache
-// builder closes over, and registers it.
-func (r *Registry) LoadEncoded(version string, data []byte, tokenCache func(m *pic.Model) *pic.TokenCache) error {
-	m, err := pic.Decode(data)
-	if err != nil {
-		return err
-	}
-	return r.Load(version, m, tokenCache(m))
-}
-
 // Activate atomically makes version the serving model and returns the
 // previously active snapshot (nil when this is the first activation).
 // In-flight batches keep scoring against the snapshot they read; new

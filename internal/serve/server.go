@@ -9,7 +9,6 @@ import (
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kernel"
-	"snowcat/internal/parallel"
 	"snowcat/internal/pic"
 )
 
@@ -139,8 +138,7 @@ type Server struct {
 	quit  chan struct{} // closed by Close: stop accepting, start draining
 	done  chan struct{} // closed when the dispatcher has drained and exited
 
-	closed    sync.Once
-	scratches []*pic.Scratch // dispatcher-owned inference arenas
+	closed sync.Once
 
 	// ewmaNS is the exponentially weighted moving average of per-graph
 	// scoring nanoseconds. It is owned by the dispatcher goroutine
@@ -226,7 +224,7 @@ func (s *Server) Predict(ctx context.Context, req *Request) (*Response, error) {
 		req = &r
 	}
 	if s.cfg.Sync {
-		resp, err := s.serveOne(req, nil)
+		resp, err := s.serveOne(req)
 		if err != nil {
 			return nil, err
 		}
@@ -452,12 +450,8 @@ func (s *Server) runBatch(batch []*pending) {
 	s.stats.batches.Add(1)
 	s.stats.batched.Add(uint64(len(gs)))
 
-	w := parallel.Workers(s.cfg.Workers)
-	for len(s.scratches) < w {
-		s.scratches = append(s.scratches, pic.NewScratch())
-	}
 	t0 := time.Now()
-	scores := s.score(snap, gs, s.scratches)
+	scores := s.score(snap, gs)
 	perGraph := float64(time.Since(t0).Nanoseconds()) / float64(len(gs))
 	if s.ewmaNS == 0 {
 		s.ewmaNS = perGraph
@@ -482,9 +476,8 @@ func (s *Server) runBatch(batch []*pending) {
 }
 
 // serveOne is the synchronous path: score req inline against the current
-// snapshot. scratches == nil allocates fresh arenas (concurrent sync
-// callers must not share them).
-func (s *Server) serveOne(req *Request, scratches []*pic.Scratch) (*Response, error) {
+// snapshot.
+func (s *Server) serveOne(req *Request) (*Response, error) {
 	snap := s.reg.Active()
 	if snap == nil {
 		s.stats.errors.Add(1)
@@ -500,39 +493,24 @@ func (s *Server) serveOne(req *Request, scratches []*pic.Scratch) (*Response, er
 	}
 	s.stats.batches.Add(1)
 	s.stats.batched.Add(uint64(len(req.Graphs)))
-	if scratches == nil {
-		for i := 0; i < parallel.Workers(s.cfg.Workers); i++ {
-			scratches = append(scratches, pic.NewScratch())
-		}
-	}
-	scores := s.score(snap, req.Graphs, scratches)
+	scores := s.score(snap, req.Graphs)
 	s.mu.Lock()
 	s.served[snap.Version] += uint64(len(req.Graphs))
 	s.mu.Unlock()
 	return &Response{Model: snap.Version, Threshold: snap.Model.Threshold, Scores: scores}, nil
 }
 
-// score runs the inference fan-out for one batch: per-worker scratch
-// arenas, per-graph BaseContexts from the LRU (graphs without a Base — or
-// from another kernel era — predict without one; slow, never wrong), and
-// one work item per graph. The output is bit-identical to
+// score runs the inference fan-out for one batch: per-graph BaseContexts
+// from the LRU (graphs without a Base — or from another kernel era —
+// predict without one; slow, never wrong) and pooled inference arenas
+// (pic.Model.PredictEach). The output is bit-identical to
 // pic.Model.PredictAllCtx over the same graphs at any worker count.
-func (s *Server) score(snap *Snapshot, gs []*ctgraph.Graph, scratches []*pic.Scratch) [][]float64 {
+func (s *Server) score(snap *Snapshot, gs []*ctgraph.Graph) [][]float64 {
 	bcs := make([]*pic.BaseContext, len(gs))
 	for i, g := range gs {
 		if base := g.BaseOf(); base != nil {
 			bcs[i] = s.cache.Get(snap, base)
 		}
 	}
-	w := parallel.Workers(s.cfg.Workers)
-	if w > len(scratches) {
-		w = len(scratches)
-	}
-	out, err := parallel.MapWorkers(w, len(gs), func(worker, i int) ([]float64, error) {
-		return snap.Model.PredictInto(nil, gs[i], snap.TC, scratches[worker], bcs[i]), nil
-	})
-	if err != nil {
-		panic(err) // only a worker panic can land here; re-raise it
-	}
-	return out
+	return snap.Model.PredictEach(gs, snap.TC, s.cfg.Workers, bcs)
 }

@@ -148,7 +148,8 @@ type PIC struct {
 	// Batch is how many members are proposed per scoring round; <= 0
 	// means 1.
 	Batch int
-	// Parallel bounds the graph-build/score worker pool; <= 0 means 1.
+	// Parallel bounds the graph-build/score worker pool; <= 0 selects
+	// GOMAXPROCS (it is the walk's Workers).
 	Parallel int
 	// Hooks observes the walk (see explore.Hooks); nil disables.
 	Hooks *explore.Hooks

@@ -36,7 +36,9 @@ func FromScores(scores []float64, th float64) Prediction {
 }
 
 // Strategy judges whether a candidate CT's predicted coverage is worth a
-// dynamic execution.
+// dynamic execution. Interesting must not keep g: MLPCT recycles the
+// graphs of rejected candidates into later builds. Commit sees only
+// accepted graphs, which are never recycled.
 type Strategy interface {
 	// Interesting reports whether the prediction warrants execution,
 	// without recording anything.
